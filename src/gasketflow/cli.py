@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -66,13 +67,16 @@ def _write_manifest(out_dir: Path, command: str, config, seed, outputs: dict, st
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return cfg
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -81,10 +85,33 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, and a JSON float such as 3.7 must not truncate
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str, count: int) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of {count} numbers, got {value!r}")
+    if len(value) != count:
+        raise ConfigError(f"{what} must have {count} entries, got {len(value)}")
+    return np.array([_number(x, f"{what} entry") for x in value])
+
+
 def _parse_problem(cfg: dict, where: str):
     """Common (graph, form, measure, spec) block of evolve/poisson configs."""
-    n = int(_require(cfg, "N", where))
-    m = int(_require(cfg, "m", where))
+    n = _integer(_require(cfg, "N", where), f"{where}: N")
+    m = _integer(_require(cfg, "m", where), f"{where}: m")
     if n < 2:
         raise ConfigError(f"{where}: N must be >= 2, got {n}")
     if m < 0:
@@ -95,12 +122,10 @@ def _parse_problem(cfg: dict, where: str):
         weights = (
             MeasureWeights.uniform(n)
             if weights_cfg is None
-            else MeasureWeights(tuple(float(x) for x in weights_cfg))
+            else MeasureWeights(tuple(_numbers(weights_cfg, f"{where}: weights", n)))
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: bad weights: {exc}") from exc
-    if weights.n != n:
-        raise ConfigError(f"{where}: weights must have {n} entries, got {weights.n}")
     try:
         spec = RobinSpec.from_json(_require(cfg, "spec", where))
     except ValueError as exc:
@@ -115,23 +140,17 @@ def _parse_vertex_data(obj, graph, where: str, seed_override=None) -> VertexFunc
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "values":
-        data = _require(obj, "data", where)
-        if len(data) != graph.vertex_count:
-            raise ConfigError(
-                f"{where}.data must have {graph.vertex_count} entries, got {len(data)}"
-            )
-        return VertexFunction(graph, np.asarray(data, dtype=np.float64))
+        data = _numbers(_require(obj, "data", where), f"{where}.data", graph.vertex_count)
+        return VertexFunction(graph, data)
     if kind == "harmonic":
-        boundary = _require(obj, "boundary", where)
-        if len(boundary) != graph.n:
-            raise ConfigError(
-                f"{where}.boundary must have {graph.n} entries, got {len(boundary)}"
-            )
-        return harmonic_function(graph, np.asarray(boundary, dtype=np.float64))
+        boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", graph.n)
+        return harmonic_function(graph, boundary)
     if kind == "random":
         seed = seed_override if seed_override is not None else obj.get("seed", 0)
+        if _integer(seed, f"{where}.seed") < 0:
+            raise ConfigError(f"{where}.seed must be >= 0, got {seed}")
         # PCG64 via numpy default_rng; uniform on [-1, 1)
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count))
     raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
 
@@ -231,13 +250,13 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     cfg = _load_config(args.config)
     graph, form, measure, spec = _parse_problem(cfg, args.config)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-9))
+    tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
     try:
         flow_cfg = FlowConfig(
-            tau=float(_require(cfg, "tau", args.config)),
-            t_end=float(_require(cfg, "t_end", args.config)),
+            tau=_number(_require(cfg, "tau", args.config), "tau"),
+            t_end=_number(_require(cfg, "t_end", args.config), "t_end"),
             tol=tol,
-            max_inner_iters=int(cfg.get("max_inner_iters", 100_000)),
+            max_inner_iters=_integer(cfg.get("max_inner_iters", 100_000), "max_inner_iters"),
         )
         flow_cfg.n_steps
     except ConfigError as exc:
@@ -260,7 +279,7 @@ def cmd_poisson(args) -> int:
     out = Path(args.out)
     cfg = _load_config(args.config)
     graph, form, measure, spec = _parse_problem(cfg, args.config)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-9))
+    tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
     f = _parse_vertex_data(
         _require(cfg, "f", args.config), graph, f"{args.config}:f", args.seed
     )

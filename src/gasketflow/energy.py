@@ -127,25 +127,15 @@ def _extension_indices(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns (copy_idx, corner_idx, mid_idx): fine indices of the coarse
     vertices, coarse corner indices per cell, and fine midpoint indices per
-    cell in the order of _midpoint_pairs.
+    cell in the order of _midpoint_pairs.  The midpoint of corners i and j
+    of cell c is corner j of its child c * n + i.
     """
-    coarse = build_level(n, m)
-    fine = build_level(n, m + 1)
-    copy_idx = _restriction_indices(n, m, m + 1)  # coarse vertex -> fine index
-    corner_idx = np.array(coarse.cells, dtype=np.intp)
-    pairs = _midpoint_pairs(n)
-    mid_idx = np.empty((len(coarse.cells), len(pairs)), dtype=np.intp)
-    for c, cell in enumerate(coarse.cells):
-        corner_weights = [coarse.vertices[v].weights for v in cell]
-        for col, (i, j) in enumerate(pairs):
-            mid = tuple(
-                wi + wj for wi, wj in zip(corner_weights[i], corner_weights[j])
-            )
-            mid_idx[c, col] = fine._index[mid]
-    copy_arr = np.asarray(copy_idx, dtype=np.intp)
-    for arr in (corner_idx, mid_idx):
-        arr.setflags(write=False)
-    return copy_arr, corner_idx, mid_idx
+    corner_idx = build_level(n, m).cell_corners
+    fine_corners = build_level(n, m + 1).cell_corners
+    first, second = np.array(_midpoint_pairs(n)).T
+    mid_idx = fine_corners[np.arange(len(corner_idx))[:, None] * n + first, second]
+    mid_idx.setflags(write=False)
+    return _restriction_indices(n, m, m + 1), corner_idx, mid_idx
 
 
 def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:

@@ -4,13 +4,20 @@ Vertices are identified by exact integer barycentric weights, never by
 floating-point coordinates, so corner sharing between cells is resolved
 without tolerances.  Euclidean coordinates exist only for export and
 plotting.
+
+A graph is integer arrays: the ``(V, N)`` vertex weights, the ``(C, N)``
+cell corners and the ``(E, 2)`` edges as two endpoint columns.  The word of
+level-m cell c is the m base-N digits of c, so its children are the cells
+c*N + i and every map between levels is index arithmetic on this cell tree.
+The tuples ``vertices``, ``cells``, ``cell_words`` and ``edges`` are
+read-only views built on first use, for export and tests.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,23 +69,21 @@ class VertexAddress:
 class GasketGraph:
     """Immutable level-m vertex/cell/edge structure of the N-point gasket.
 
-    Vertex order is lexicographic on the weight vectors, so every vector
-    indexed by this graph (function values, masses, CSV columns) is
-    reproducible.  ``cells[c][i]`` is the vertex index of the i-th corner of
-    cell ``c``, i.e. the image of p_i under the cell's contraction word.
+    ``weights[v]`` is the integer weight vector of vertex ``v``.  Vertex
+    order is lexicographic on these rows, so every vector indexed by this
+    graph (function values, masses, CSV columns) is reproducible.
+    ``cell_corners[c, i]`` is the vertex index of the i-th corner of cell
+    ``c``, i.e. the image of p_i under the cell's contraction word: the
+    base-n digits of ``c``.
     """
 
     n: int
     level: int
-    vertices: tuple[VertexAddress, ...]
-    cells: tuple[tuple[int, ...], ...]
-    cell_words: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    cell_corners: np.ndarray
     boundary: tuple[int, ...]
-    _index: dict = field(repr=False)
-    _neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
-    _edge_i: np.ndarray = field(repr=False)
-    _edge_j: np.ndarray = field(repr=False)
+    _edge_i: np.ndarray
+    _edge_j: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GasketGraph):
@@ -91,39 +96,61 @@ class GasketGraph:
     def __repr__(self) -> str:  # the full field dump is unreadable
         return (
             f"GasketGraph(n={self.n}, level={self.level}, "
-            f"vertices={len(self.vertices)}, cells={len(self.cells)}, "
-            f"edges={len(self.edges)})"
+            f"vertices={self.vertex_count}, cells={len(self.cell_corners)}, "
+            f"edges={len(self._edge_i)})"
         )
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.weights)
 
     @property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index arrays (i, j) over all unordered edges."""
+        """Endpoint index arrays (i, j), i < j, of all edges sorted by (i, j)."""
         return self._edge_i, self._edge_j
+
+    # tuple views of the arrays, for export and tests
+
+    @functools.cached_property
+    def vertices(self) -> tuple[VertexAddress, ...]:
+        return tuple(VertexAddress(self.level, tuple(w)) for w in self.weights.tolist())
+
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.cell_corners.tolist()))
+
+    @functools.cached_property
+    def cell_words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(range(self.n), repeat=self.level))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._edge_i.tolist(), self._edge_j.tolist()))
 
     def index_of(self, address: VertexAddress) -> int:
         if address.n != self.n:
             raise DomainMismatchError(
                 f"address has {address.n} weights, graph has n={self.n}"
             )
-        key = address.rescaled(self.level).weights if address.level <= self.level else None
-        if key is None or key not in self._index:
-            raise DomainMismatchError(f"{address} is not a vertex of {self}")
-        return self._index[key]
+        if address.level <= self.level:
+            key = address.rescaled(self.level).weights
+            hits = np.flatnonzero((self.weights == key).all(axis=1))
+            if hits.size:
+                return int(hits[0])
+        raise DomainMismatchError(f"{address} is not a vertex of {self}")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbors[i]
+        ei, ej = self.edge_arrays
+        # edges are sorted by (i, j): the lower neighbours come first
+        return tuple(np.concatenate([ei[ej == i], ej[ei == i]]).tolist())
 
     def to_json_dict(self) -> dict:
         return {
             "N": self.n,
             "m": self.level,
-            "vertices": [list(v.weights) for v in self.vertices],
-            "cells": [list(c) for c in self.cells],
-            "edges": [list(e) for e in self.edges],
+            "vertices": self.weights.tolist(),
+            "cells": self.cell_corners.tolist(),
+            "edges": np.column_stack(self.edge_arrays).tolist(),
             "boundary": list(self.boundary),
         }
 
@@ -146,59 +173,26 @@ def build_level(n: int, m: int) -> GasketGraph:
             f"(limit {MAX_CELLS})"
         )
 
-    cell_corner_weights: list[list[tuple[int, ...]]] = []
-    words: list[tuple[int, ...]] = []
-    for word in itertools.product(range(n), repeat=m):
-        base = [0] * n
-        for k, wk in enumerate(word):
-            base[wk] += 1 << (m - 1 - k)
-        corners = []
-        for i in range(n):
-            corners.append(tuple(base[j] + (1 if j == i else 0) for j in range(n)))
-        cell_corner_weights.append(corners)
-        words.append(word)
+    unit = np.eye(n, dtype=np.int64)
+    base = np.zeros((1, n), dtype=np.int64)
+    for _ in range(m):  # child c*n + i of cell c has base weights 2 * base_c + e_i
+        base = (2 * base[:, None, :] + unit).reshape(-1, n)
+    corners = base[:, None, :] + unit
+    weights, cells = np.unique(corners.reshape(-1, n), axis=0, return_inverse=True)
+    cells = cells.reshape(-1, n)
 
-    all_weights = sorted({w for corners in cell_corner_weights for w in corners})
-    index = {w: i for i, w in enumerate(all_weights)}
-    vertices = tuple(VertexAddress(m, w) for w in all_weights)
+    # two cells share at most one vertex, so every edge lies in exactly one cell
+    first, second = np.triu_indices(n, 1)
+    a, b = cells[:, first].ravel(), cells[:, second].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    edge_i, edge_j = lo[order], hi[order]
 
-    cells = tuple(
-        tuple(index[w] for w in corners) for corners in cell_corner_weights
-    )
-    edge_set: set[tuple[int, int]] = set()
-    for cell in cells:
-        for a, b in itertools.combinations(sorted(cell), 2):
-            edge_set.add((a, b))
-    edges = tuple(sorted(edge_set))
-
-    neighbor_sets: list[set[int]] = [set() for _ in vertices]
-    for a, b in edges:
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
-    neighbors = tuple(tuple(sorted(s)) for s in neighbor_sets)
-
-    boundary = tuple(
-        index[tuple((1 << m) if j == i else 0 for j in range(n))] for i in range(n)
-    )
-
-    edge_i = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    edge_j = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-    edge_i.setflags(write=False)
-    edge_j.setflags(write=False)
-
-    return GasketGraph(
-        n=n,
-        level=m,
-        vertices=vertices,
-        cells=cells,
-        cell_words=tuple(words),
-        edges=edges,
-        boundary=boundary,
-        _index=index,
-        _neighbors=neighbors,
-        _edge_i=edge_i,
-        _edge_j=edge_j,
-    )
+    # p_i is corner i of the cell whose word is i repeated m times
+    boundary = tuple(int(cells[i * (n**m - 1) // (n - 1), i]) for i in range(n))
+    for arr in (weights, cells, edge_i, edge_j):
+        arr.setflags(write=False)
+    return GasketGraph(n, m, weights, cells, boundary, edge_i, edge_j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +227,19 @@ def constant_function(graph: GasketGraph, value: float) -> VertexFunction:
 
 @functools.lru_cache(maxsize=None)
 def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:
+    """Fine indices of the level-m vertices in the level-``big_level`` graph.
+
+    Corner i of cell c is corner i of the descendant c * n**k + i * (n**k - 1)
+    / (n - 1) whose word appends k = big_level - m copies of i.
+    """
     coarse = build_level(n, m)
     fine = build_level(n, big_level)
-    idx = np.fromiter(
-        (fine.index_of(v) for v in coarse.vertices),
-        dtype=np.intp,
-        count=coarse.vertex_count,
-    )
+    # any (cell, corner) incidence of a vertex names the same fine vertex
+    incidence = np.empty(coarse.vertex_count, dtype=np.intp)
+    incidence[coarse.cell_corners.ravel()] = np.arange(coarse.cell_corners.size)
+    cell, corner = np.divmod(incidence, n)
+    k = big_level - m
+    idx = fine.cell_corners[cell * n**k + corner * ((n**k - 1) // (n - 1)), corner]
     idx.setflags(write=False)
     return idx
 
@@ -286,5 +286,4 @@ def embed(address: VertexAddress) -> np.ndarray:
 def vertex_coordinates(graph: GasketGraph) -> np.ndarray:
     """(vertex_count, n-1) array of embedded coordinates in vertex order."""
     pts = simplex_vertices(graph.n)
-    weights = np.array([v.weights for v in graph.vertices], dtype=np.float64)
-    return (weights / (2.0**graph.level)) @ pts
+    return (graph.weights / (2.0**graph.level)) @ pts

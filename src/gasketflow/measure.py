@@ -69,12 +69,14 @@ def vertex_measure(graph: GasketGraph, weights: MeasureWeights) -> VertexMeasure
             f"weights have length {weights.n}, graph has n={graph.n}"
         )
     w = np.asarray(weights.weights)
-    masses = np.zeros(graph.vertex_count)
-    for word, cell in zip(graph.cell_words, graph.cells):
-        cell_mass = float(np.prod(w[list(word)])) if word else 1.0
-        share = cell_mass / graph.n
-        for v in cell:
-            masses[v] += share
+    cell_mass = np.ones(1)
+    for _ in range(graph.level):  # child c*n + i of cell c has mass mass_c * w_i
+        cell_mass = np.outer(cell_mass, w).ravel()
+    masses = np.bincount(
+        graph.cell_corners.ravel(),
+        weights=np.repeat(cell_mass / graph.n, graph.n),
+        minlength=graph.vertex_count,
+    )
     # renormalize away the accumulated roundoff so the invariant is exact
     masses /= masses.sum()
     return VertexMeasure(graph, masses)

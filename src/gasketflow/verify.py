@@ -2,16 +2,13 @@
 
 Every check is a pure function of its configuration (seed included), emits
 a small report, and never raises on a mathematical violation; violations
-are counted and the worst relative slack is recorded.  The flow checks can
-fan out over threads; GASKETFLOW_THREADS caps the worker count.
+are counted and the worst relative slack is recorded.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -309,7 +306,7 @@ def _exact_energy(form: EnergyForm, values: np.ndarray) -> Fraction:
     g = form.graph
     r = Fraction(g.n + 2, g.n) ** g.level
     total = Fraction(0)
-    for a, b in g.edges:
+    for a, b in zip(*(e.tolist() for e in g.edge_arrays)):
         d = Fraction(float(values[a])) - Fraction(float(values[b]))
         total += d * d
     return r * total
@@ -326,14 +323,18 @@ def _subtree_masks(graph, rng) -> tuple[np.ndarray, np.ndarray]:
     prefixes = set()
     while len(prefixes) < 2:
         prefixes.add(tuple(rng.integers(0, graph.n, size=depth).tolist()))
-    first, second = sorted(prefixes)
-    owners: list[set] = [set() for _ in range(graph.vertex_count)]
-    for word, cell in zip(graph.cell_words, graph.cells):
-        for v in cell:
-            owners[v].add(word[:depth])
-    mask_a = np.array([o == {first} for o in owners])
-    mask_b = np.array([o == {second} for o in owners])
-    return mask_a, mask_b
+    if depth > graph.level:  # no cell word is that long: both families are empty
+        empty = np.zeros(graph.vertex_count, dtype=bool)
+        return empty, empty
+    # entry k of the flattened corners belongs to cell k // n, whose word
+    # starts with the word of its level-depth ancestor, cell k // n**(m-depth+1)
+    prefix = np.arange(graph.cell_corners.size) // graph.n ** (graph.level - depth + 1)
+    corners = graph.cell_corners.ravel()
+    masks = []
+    for word in sorted(prefixes):
+        outside = prefix != np.ravel_multi_index(word, (graph.n,) * depth)
+        masks.append(np.bincount(corners, weights=outside, minlength=graph.vertex_count) == 0)
+    return masks[0], masks[1]
 
 
 def check_locality(
@@ -381,13 +382,6 @@ def check_locality(
 
 # ---------------------------------------------------------------------------
 # flow properties
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GASKETFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -474,15 +468,8 @@ def check_flow_properties(
             out["mean_conservation"] = float(np.max(np.abs(means - means[0])))
         return out
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, cases))
-    else:
-        results = [evaluate(case) for case in cases]
-
     properties: dict[str, list[float]] = {}
-    for res in results:
+    for res in map(evaluate, cases):
         for key, value in res.items():
             properties.setdefault(key, []).append(value)
 

@@ -169,6 +169,26 @@ def test_evolve_matches_golden_mixed_robin(tmp_path):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("N", "x"),
+        ("N", 3.7),
+        ("tau", "fast"),
+        ("u0", {"kind": "values", "data": [float("nan")] * 15}),
+        ("u0", {"kind": "harmonic", "boundary": 5}),
+    ],
+)
+def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_evolve_missing_key(tmp_path):
     doc = dict(BASE_EVOLVE)
     del doc["tau"]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gasketflow.gasket as gasket_mod
+from gasketflow.energy import _extension_indices, _midpoint_pairs
+from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
     ResourceLimitError,
@@ -37,7 +39,7 @@ def test_level0_boundary_is_everything():
     assert g.cells == ((2, 1, 0),) or set(g.cells[0]) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2), (2, 5)])
 def test_vertices_match_contraction_enumeration(n, m):
     points, cells, edges = brute_force_points(n, m)
     g = build_level(n, m)
@@ -63,6 +65,25 @@ def test_nested_levels(n):
         fine = build_level(n, m + 1)
         for v in coarse.vertices:
             fine.index_of(v.rescaled(m + 1))  # raises if missing
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cell_tree_index_maps_match_weights(n):
+    # the index maps come from cell-tree arithmetic; check them on the weights
+    for m in range(3):
+        coarse, fine = build_level(n, m), build_level(n, m + 1)
+        _, corner_idx, mid_idx = _extension_indices(n, m)
+        assert tuple(map(tuple, corner_idx.tolist())) == coarse.cells
+        for cell, mids in zip(coarse.cells, mid_idx.tolist()):
+            for (i, j), mid in zip(_midpoint_pairs(n), mids):
+                wi, wj = coarse.vertices[cell[i]].weights, coarse.vertices[cell[j]].weights
+                assert fine.vertices[mid].weights == tuple(a + b for a, b in zip(wi, wj))
+        for big in range(m, m + 3):
+            idx = _restriction_indices(n, m, big)
+            big_vertices = build_level(n, big).vertices
+            for v, k in zip(coarse.vertices, idx.tolist()):
+                scaled = tuple(w * 2 ** (big - m) for w in v.weights)
+                assert big_vertices[k].weights == scaled
 
 
 @pytest.mark.parametrize("n, mmax", [(3, 5), (4, 4)])

@@ -125,14 +125,6 @@ def test_flow_properties_clean_small():
         assert r.violations == 0, r
 
 
-def test_flow_properties_threaded_matches_serial(monkeypatch):
-    cfg = FlowCheckConfig(seed=5, level=1, pairs=2, tau=0.1, t_end=0.3)
-    serial = check_flow_properties(cfg)
-    monkeypatch.setenv("GASKETFLOW_THREADS", "4")
-    threaded = check_flow_properties(cfg)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
-
-
 def test_reports_are_reproducible():
     a = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
     b = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
