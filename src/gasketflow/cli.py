@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write one line per row as it is produced, never the whole file at once."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, config, seed, outputs: dict, started: float) -> None:
@@ -236,12 +239,13 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _trajectory_csv(trajectory) -> tuple[list[str], list[list[str]]]:
+def _trajectory_csv(trajectory) -> tuple[list[str], Iterator[list[str]]]:
     nv = trajectory.graph.vertex_count
     header = ["time"] + [f"vertex_{i}" for i in range(nv)]
-    rows = []
-    for t, state in zip(trajectory.times, trajectory.states):
-        rows.append([_fmt(t)] + [_fmt(x) for x in state.values])
+    rows = (
+        [_fmt(t)] + [_fmt(x) for x in state.values]
+        for t, state in zip(trajectory.times, trajectory.states)
+    )
     return header, rows
 
 

@@ -10,6 +10,11 @@ boundary vertices); what remains is a strictly convex problem in the N
 boundary values, coupled through a dense N x N matrix and separable in the
 nonsmooth penalties, solved by per-coordinate proximal sweeps.
 
+The boundary functionals enter only that last problem, so the interior of
+A = 2K + M/tau is factored once per (graph, measure, tau) and shared by
+every spec and trajectory on it.  ``poisson_solve`` runs the same
+operator code on K.
+
 The iterates inherit, step by step and up to solver tolerance, the
 qualitative properties of the continuous flow: positivity, order
 preservation, sup-norm contraction, and domination between flows whose
@@ -18,6 +23,8 @@ boundary penalties differ bi-monotonically.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +53,12 @@ class FlowConfig:
     max_inner_iters: int = 100_000
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        for name in ("tau", "t_end", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.tau > self.t_end * (1 + 1e-12):
             raise ConfigError("tau must not exceed t_end")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_inner_iters < 1:
             raise ConfigError("max_inner_iters must be >= 1")
 
@@ -166,45 +171,54 @@ def _solve_boundary_inclusion(
     )
 
 
-class _SchurReduction:
-    """Exact elimination of the interior block of a sparse SPD-ish matrix."""
+class _Operator:
+    """A sparse SPD matrix with its interior block factored once.
 
-    def __init__(self, a_mat: sp.spmatrix, boundary: tuple[int, ...], n_vertices: int):
-        self.boundary = np.asarray(boundary, dtype=np.intp)
-        mask = np.ones(n_vertices, dtype=bool)
+    ``solve`` eliminates the interior exactly (Schur complement onto the
+    boundary vertices), solves the boundary inclusion and recovers the
+    interior; ``residuals`` measures how well the result satisfies both.
+    """
+
+    def __init__(self, a_mat: sp.spmatrix, graph: GasketGraph):
+        self.a_mat = a_mat.tocsr()
+        self.boundary = np.asarray(graph.boundary, dtype=np.intp)
+        mask = np.ones(graph.vertex_count, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.nonzero(mask)[0]
-        a_csr = a_mat.tocsr()
-        self.a_ii = a_csr[self.interior][:, self.interior].tocsc()
-        self.a_ib = a_csr[self.interior][:, self.boundary].tocsc()
-        self.a_bi = a_csr[self.boundary][:, self.interior].tocsc()
-        self.a_bb = a_csr[self.boundary][:, self.boundary].toarray()
-        self.lu = spla.splu(self.a_ii)
-        w = self.lu.solve(self.a_ib.toarray())
-        s_mat = self.a_bb - self.a_bi @ w
+        a, i, b = self.a_mat, self.interior, self.boundary
+        self.lu = spla.splu(a[i][:, i].tocsc())
+        self.a_bi = a[b][:, i].tocsc()
+        self.w = self.lu.solve(a[i][:, b].toarray())
+        s_mat = a[b][:, b].toarray() - self.a_bi @ self.w
         self.s_mat = 0.5 * (s_mat + s_mat.T)
-        self.w = w
 
-    def reduce(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, rhs, functionals, tol, max_inner_iters, v0, gauge_free=False):
+        """Values minimizing v.A v/2 - rhs.v + sum_i B_i(v(p_i)), the reduced
+        right side ``c`` and the number of boundary sweeps."""
         z = self.lu.solve(rhs[self.interior])
         c = rhs[self.boundary] - self.a_bi @ z
-        return c, z
-
-    def recover(self, z: np.ndarray, v_b: np.ndarray) -> np.ndarray:
-        return z - self.w @ v_b
-
-    def assemble(self, v_i: np.ndarray, v_b: np.ndarray, n_vertices: int) -> np.ndarray:
-        out = np.empty(n_vertices)
-        out[self.interior] = v_i
-        out[self.boundary] = v_b
-        return out
-
-
-def _require_convex(spec: RobinSpec) -> None:
-    if not spec.convex:
-        raise UnsupportedOperationError(
-            "the implicit flow requires convex boundary functionals"
+        v_b, iters = _solve_boundary_inclusion(
+            self.s_mat, c, functionals, tol, max_inner_iters, v0, gauge_free
         )
+        values = np.empty(len(rhs))
+        values[self.interior] = z - self.w @ v_b
+        values[self.boundary] = v_b
+        return values, c, iters
+
+    def residuals(self, values, rhs, c, functionals) -> tuple[np.ndarray, float]:
+        """Per-boundary subdifferential distances and the interior residual norm."""
+        boundary = _boundary_residual(self.s_mat, c, functionals, values[self.boundary])
+        interior = float(np.linalg.norm((self.a_mat @ values - rhs)[self.interior]))
+        return boundary, interior
+
+
+@functools.lru_cache(maxsize=1)
+def _resolvent(form: EnergyForm, measure: VertexMeasure, tau: float) -> _Operator:
+    """The backward Euler operator 2K + M/tau, shared by every spec and
+    trajectory on one (graph, measure, tau)."""
+    return _Operator(
+        2.0 * stiffness_matrix(form) + sp.diags(measure.masses / tau), form.graph
+    )
 
 
 def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) -> None:
@@ -212,48 +226,10 @@ def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) ->
         raise DomainMismatchError("measure and form live on different graphs")
     if spec.n != form.graph.n:
         raise DomainMismatchError("spec length does not match the graph")
-
-
-class _ImplicitStepper:
-    """Backward Euler resolvent with the interior factorized once."""
-
-    def __init__(self, form, measure, spec, tau, tol, max_inner_iters):
-        _check_domains(form, measure, spec)
-        _require_convex(spec)
-        graph = form.graph
-        k_mat = stiffness_matrix(form)
-        a_mat = 2.0 * k_mat + sp.diags(measure.masses / tau)
-        self.graph = graph
-        self.spec = spec
-        self.tau = tau
-        self.tol = tol
-        self.max_inner_iters = max_inner_iters
-        self.masses = measure.masses
-        self.a_mat = a_mat.tocsr()
-        self.red = _SchurReduction(a_mat, graph.boundary, graph.vertex_count)
-
-    def step(self, values: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
-        rhs = self.masses * values / self.tau
-        c, z = self.red.reduce(rhs)
-        v_b, iters = _solve_boundary_inclusion(
-            self.red.s_mat,
-            c,
-            self.spec.functionals,
-            self.tol,
-            self.max_inner_iters,
-            values[self.red.boundary],
+    if not spec.convex:
+        raise UnsupportedOperationError(
+            "the implicit flow requires convex boundary functionals"
         )
-        v_i = self.red.recover(z, v_b)
-        out = self.red.assemble(v_i, v_b, self.graph.vertex_count)
-        interior_res = float(
-            np.linalg.norm((self.a_mat @ out - rhs)[self.red.interior])
-        )
-        boundary_res = float(
-            np.linalg.norm(
-                _boundary_residual(self.red.s_mat, c, self.spec.functionals, v_b)
-            )
-        )
-        return out, StepDiagnostics(iters, boundary_res + interior_res)
 
 
 def backward_euler_step(
@@ -266,13 +242,9 @@ def backward_euler_step(
     max_inner_iters: int = 100_000,
 ) -> VertexFunction:
     """One implicit step: the resolvent of the perturbed energy at u."""
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    if u.graph != form.graph:
-        raise DomainMismatchError("state does not live on the form's graph")
-    stepper = _ImplicitStepper(form, measure, spec, tau, tol, max_inner_iters)
-    values, _ = stepper.step(u.values)
-    return VertexFunction(form.graph, values)
+    return evolve(
+        form, measure, spec, u, FlowConfig(tau, tau, tol, max_inner_iters)
+    ).states[-1]
 
 
 def evolve(
@@ -293,23 +265,29 @@ def evolve(
     if u0.graph != form.graph:
         raise DomainMismatchError("initial state does not live on the form's graph")
     steps = config.n_steps
-    stepper = _ImplicitStepper(
-        form, measure, spec, config.tau, config.tol, config.max_inner_iters
-    )
+    _check_domains(form, measure, spec)
+    op = _resolvent(form, measure, config.tau)
     times = np.arange(steps + 1, dtype=np.float64) * config.tau
     states = [u0]
     diagnostics: list[StepDiagnostics] = []
     values = u0.values
     for _ in range(steps):
+        rhs = measure.masses * values / config.tau
         try:
-            values, diag = stepper.step(values)
+            values, c, iters = op.solve(
+                rhs, spec.functionals, config.tol, config.max_inner_iters,
+                values[op.boundary],
+            )
         except ConvergenceError as exc:
             exc.partial = Trajectory(
                 form.graph, times[: len(states)], states, diagnostics
             )
             raise
+        boundary_res, interior_res = op.residuals(values, rhs, c, spec.functionals)
         states.append(VertexFunction(form.graph, values))
-        diagnostics.append(diag)
+        diagnostics.append(
+            StepDiagnostics(iters, float(np.linalg.norm(boundary_res)) + interior_res)
+        )
     return Trajectory(form.graph, times, states, diagnostics)
 
 
@@ -358,7 +336,6 @@ def poisson_solve(
     mu-mean-zero solution (the constant gauge is fixed).
     """
     _check_domains(form, measure, spec)
-    _require_convex(spec)
     if f.graph != form.graph:
         raise DomainMismatchError("source does not live on the form's graph")
     graph = form.graph
@@ -371,38 +348,23 @@ def poisson_solve(
                 "pure Neumann problem needs a mu-mean-zero source, got mean "
                 f"{compatibility}"
             )
-    k_mat = stiffness_matrix(form)
-    red = _SchurReduction(k_mat, graph.boundary, graph.vertex_count)
+    op = _Operator(stiffness_matrix(form), graph)
     rhs = measure.masses * f.values
-    c, z = red.reduce(rhs)
-    v_b, iters = _solve_boundary_inclusion(
-        red.s_mat,
-        c,
-        spec.functionals,
-        tol,
-        max_inner_iters,
-        np.zeros(graph.n),
+    values, c, iters = op.solve(
+        rhs, spec.functionals, tol, max_inner_iters, np.zeros(graph.n),
         gauge_free=pure_neumann,
     )
-    v_i = red.recover(z, v_b)
-    values = red.assemble(v_i, v_b, graph.vertex_count)
-    gauged = False
     if pure_neumann:
         values = values - float(np.sum(measure.masses * values))
-        gauged = True
-    u = VertexFunction(graph, values)
-    boundary_res = _boundary_residual(
-        red.s_mat, c, spec.functionals, u.values[red.boundary]
-    )
-    interior_res = float(np.linalg.norm((k_mat @ values - rhs)[red.interior]))
+    boundary_res, interior_res = op.residuals(values, rhs, c, spec.functionals)
     report = PoissonReport(
         iterations=iters,
         kkt_residual=float(np.linalg.norm(boundary_res)) + interior_res,
         boundary_residuals=tuple(float(x) for x in boundary_res),
         compatibility=compatibility,
-        gauged=gauged,
+        gauged=pure_neumann,
     )
-    return u, report
+    return VertexFunction(graph, values), report
 
 
 def normal_derivative(u: VertexFunction, i: int) -> float:

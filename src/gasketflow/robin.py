@@ -123,8 +123,8 @@ class Quadratic(BoundaryFunctional):
     kind = "quadratic"
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=np.float64) if np.ndim(s) else s
@@ -150,8 +150,8 @@ class AbsoluteValue(BoundaryFunctional):
     kind = "absolute_value"
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
     def __call__(self, s):
         return self.beta * np.abs(s) if np.ndim(s) else self.beta * abs(s)
@@ -188,10 +188,10 @@ class Power(BoundaryFunctional):
     kind = "power"
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     def __call__(self, s):
         a = np.abs(s) if np.ndim(s) else abs(s)
@@ -272,16 +272,16 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
     kind = "plq"
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         bps = tuple(sorted((float(d), float(w)) for d, w in self.breakpoints))
         if not bps and self.kappa == 0:
             raise ValueError("need kappa > 0 or at least one breakpoint")
         for d, w in bps:
-            if d < 0:
-                raise ValueError(f"breakpoint positions must be >= 0, got {d}")
-            if w <= 0:
-                raise ValueError(f"breakpoint weights must be positive, got {w}")
+            if not (math.isfinite(d) and d >= 0):
+                raise ValueError(f"breakpoint positions must be finite and >= 0, got {d}")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"breakpoint weights must be finite and positive, got {w}")
         object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, s):

@@ -177,6 +177,8 @@ def test_evolve_matches_golden_mixed_robin(tmp_path):
         ("tau", "fast"),
         ("u0", {"kind": "values", "data": [float("nan")] * 15}),
         ("u0", {"kind": "harmonic", "boundary": 5}),
+        ("spec", [{"kind": "quadratic", "beta": float("nan")}, "neumann", "dirichlet"]),
+        ("spec", [{"kind": "power", "beta": 1.0, "p": float("nan")}, "neumann", "dirichlet"]),
     ],
 )
 def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
@@ -187,6 +189,15 @@ def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_evolve_nan_tol_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    args = ["evolve", "--config", DATA / "mixed_robin_config.json", "--out", out]
+    assert run_cli(args + ["--tol", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+    assert not out.exists()
 
 
 def test_evolve_missing_key(tmp_path):

@@ -62,6 +62,14 @@ def test_config_validation():
         FlowConfig(tau=0.1, t_end=1.0, tol=0.0)
     with pytest.raises(ConfigError):
         FlowConfig(tau=0.3, t_end=1.0).n_steps  # not a multiple
+    for bad in (
+        dict(tau=math.nan, t_end=1.0),
+        dict(tau=0.1, t_end=math.nan),
+        dict(tau=0.1, t_end=1.0, tol=math.nan),
+        dict(tau=INF, t_end=INF),
+    ):
+        with pytest.raises(ConfigError):
+            FlowConfig(**bad)
     assert FlowConfig(tau=0.25, t_end=1.0).n_steps == 4
 
 
@@ -180,6 +188,43 @@ def test_stepping_composes_bitwise():
     one = backward_euler_step(form, measure, spec, u0, tau=0.1)
     again = backward_euler_step(form, measure, spec, one, tau=0.1)
     assert np.array_equal(two.values, again.values)
+
+
+def test_one_factorization_per_graph_measure_and_tau(monkeypatch):
+    """Every spec and trajectory on one (graph, measure, tau) shares one
+    factored operator; another measure or another tau gets a fresh one."""
+    import gasketflow.flow as flow_module
+
+    calls = []
+    original = flow_module.stiffness_matrix
+
+    def counting(form):
+        calls.append(form)
+        return original(form)
+
+    monkeypatch.setattr(flow_module, "stiffness_matrix", counting)
+    g, form, measure = _setup(m=2)
+    skewed = vertex_measure(g, MeasureWeights((0.5, 0.3, 0.2)))
+    specs = [
+        RobinSpec.uniform(Quadratic(1.5), 3),
+        RobinSpec.uniform(AbsoluteValue(0.8), 3),
+        RobinSpec((Quadratic(1.0), Zero(), DirichletIndicator())),
+    ]
+    u0 = _random(g, 17)
+
+    def check_against_oracle(meas, spec, tau):
+        traj = evolve(form, meas, spec, u0, FlowConfig(tau, 2 * tau, tol=1e-11))
+        for before, after in zip(traj.states, traj.states[1:]):
+            want = resolvent_oracle(form, meas, spec, before.values, tau=tau, tol=1e-13)
+            np.testing.assert_allclose(after.values, want, atol=5e-8)
+
+    for spec in specs:
+        check_against_oracle(measure, spec, 0.1)
+    assert len(calls) == 1
+    check_against_oracle(skewed, specs[0], 0.1)
+    assert len(calls) == 2
+    check_against_oracle(skewed, specs[0], 0.05)
+    assert len(calls) == 3
 
 
 def test_neumann_mean_conservation():

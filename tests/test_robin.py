@@ -102,6 +102,19 @@ def test_parameter_validation():
         PiecewiseLinearQuadratic(-0.1, ((1.0, 1.0),))
     with pytest.raises(ValueError):
         PiecewiseLinearQuadratic(0.0, ())
+    nan = float("nan")
+    for bad in (
+        lambda: Quadratic(nan),
+        lambda: AbsoluteValue(nan),
+        lambda: Power(nan, 2.0),
+        lambda: Power(1.0, nan),
+        lambda: Power(1.0, float("inf")),
+        lambda: PiecewiseLinearQuadratic(nan, ((1.0, 1.0),)),
+        lambda: PiecewiseLinearQuadratic(1.0, ((nan, 1.0),)),
+        lambda: PiecewiseLinearQuadratic(1.0, ((1.0, nan),)),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 # ---------------------------------------------------------------------------
