@@ -30,11 +30,6 @@ from .robin import RobinSpec
 from .verify import SUITE_NAMES, run_suite
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; keeps golden files stable."""
-    return repr(float(x))
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -46,7 +41,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write one line per row as it is produced, never the whole file at once."""
+    """Write one line per row as it is produced, never the whole file at once.
+
+    Floats reach here as ``repr`` of Python floats (``array.tolist()``): the
+    shortest round-trip form keeps golden files stable.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -184,14 +183,12 @@ def cmd_gasket(args) -> int:
     _write_json(out / "graph.json", graph.to_json_dict())
     coords = vertex_coordinates(graph)
     header = ["index"] + [f"x_{k + 1}" for k in range(graph.n - 1)]
-    rows = (
-        [str(i)] + [_fmt(c) for c in coords[i]] for i in range(graph.vertex_count)
-    )
+    rows = ([str(i), *map(repr, row)] for i, row in enumerate(coords.tolist()))
     _write_csv(out / "coordinates.csv", header, rows)
     _write_csv(
         out / "masses.csv",
         ["index", "mass"],
-        ([str(i), _fmt(m)] for i, m in enumerate(measure.masses)),
+        ([str(i), repr(m)] for i, m in enumerate(measure.masses.tolist())),
     )
     config = {"N": args.n, "m": args.m, "weights": list(weights.weights)}
     _write_manifest(
@@ -219,13 +216,13 @@ def cmd_extend(args) -> int:
     _write_csv(
         out / "extension.csv",
         ["vertex", "value"],
-        ([str(i), _fmt(v)] for i, v in enumerate(u.values)),
+        ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
     )
     profile = energy_profile(u)
     _write_csv(
         out / "profile.csv",
         ["m", "energy"],
-        ([str(m), _fmt(w)] for m, w in enumerate(profile)),
+        ([str(m), repr(w)] for m, w in enumerate(profile)),
     )
     config = {"N": args.n, "m": args.m, "boundary": boundary}
     _write_manifest(
@@ -243,8 +240,8 @@ def _trajectory_csv(trajectory) -> tuple[list[str], Iterator[list[str]]]:
     nv = trajectory.graph.vertex_count
     header = ["time"] + [f"vertex_{i}" for i in range(nv)]
     rows = (
-        [_fmt(t)] + [_fmt(x) for x in state.values]
-        for t, state in zip(trajectory.times, trajectory.states)
+        [repr(t), *map(repr, state.values.tolist())]
+        for t, state in zip(trajectory.times.tolist(), trajectory.states)
     )
     return header, rows
 
@@ -298,7 +295,7 @@ def cmd_poisson(args) -> int:
     _write_csv(
         out / "solution.csv",
         ["vertex", "value"],
-        ([str(i), _fmt(v)] for i, v in enumerate(u.values)),
+        ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
     )
     _write_json(out / "report.json", report.to_dict())
     seed = args.seed if args.seed is not None else cfg.get("f", {}).get("seed")

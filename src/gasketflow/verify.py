@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -422,56 +423,49 @@ def check_flow_properties(
             form, measure, spec, VertexFunction(graph, values), config
         ).values_matrix()
 
-    cases = []
+    properties: dict[str, list[float]] = defaultdict(list)
+    nv = graph.vertex_count
     for name, spec in sorted(specs.items()):
         for pair in range(cfg.pairs):
-            cases.append((name, spec, pair))
+            rng = np.random.default_rng((cfg.seed, _stable_hash(name), pair))
+            u0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
+            v0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
+            gap = np.abs(rng.uniform(-cfg.value_range, cfg.value_range, nv))
 
-    def evaluate(case):
-        name, spec, pair = case
-        rng = np.random.default_rng((cfg.seed, _stable_hash(name), pair))
-        nv = graph.vertex_count
-        u0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
-        v0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
-        gap = np.abs(rng.uniform(-cfg.value_range, cfg.value_range, nv))
+            su = run(u0, spec)
+            sv = run(v0, spec)
+            s_abs = run(np.abs(u0), spec)
+            s_above = run(u0 + gap, spec)
+            properties["positivity"].append(max(0.0, -float(s_abs.min())))
+            properties["order_preservation"].append(float(np.max(su - s_above)))
+            sup_d = np.max(np.abs(su - sv), axis=1)
+            properties["sup_contraction"].append(float(np.max(np.diff(sup_d))))
+            l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
+            properties["l2_contraction"].append(float(np.max(np.diff(l2_d))))
+            energies = [
+                perturbed_energy(form, spec, VertexFunction(graph, row)) for row in su
+            ]
+            decay = -INF
+            for prev, nxt in zip(energies, energies[1:]):
+                if math.isfinite(prev):
+                    decay = max(decay, nxt - prev)
+            properties["energy_decay"].append(decay)
 
-        out = {}
-        su = run(u0, spec)
-        sv = run(v0, spec)
-        s_abs = run(np.abs(u0), spec)
-        s_above = run(u0 + gap, spec)
-        out["positivity"] = max(0.0, -float(s_abs.min()))
-        out["order_preservation"] = float(np.max(su - s_above))
-        sup_d = np.max(np.abs(su - sv), axis=1)
-        out["sup_contraction"] = float(np.max(np.diff(sup_d)))
-        l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
-        out["l2_contraction"] = float(np.max(np.diff(l2_d)))
-        energies = [
-            perturbed_energy(form, spec, VertexFunction(graph, row)) for row in su
-        ]
-        decay = -INF
-        for prev, nxt in zip(energies, energies[1:]):
-            if math.isfinite(prev):
-                decay = max(decay, nxt - prev)
-        out["energy_decay"] = decay
+            # |u0| <= dominating, so the sandwich compares these trajectories
+            dominating = np.abs(u0) + gap
+            s_dom = run(dominating, spec)
+            s_neu = run(dominating, neumann)
+            properties["domination_by_neumann"].append(float(np.max(np.abs(su) - s_neu)))
+            s_dir = run(u0, dirichlet)
+            properties["domination_of_dirichlet"].append(
+                float(np.max(np.abs(s_dir) - s_dom))
+            )
 
-        # |u0| <= dominating, so the sandwich compares these trajectories
-        dominating = np.abs(u0) + gap
-        s_dom = run(dominating, spec)
-        s_neu = run(dominating, neumann)
-        out["domination_by_neumann"] = float(np.max(np.abs(su) - s_neu))
-        s_dir = run(u0, dirichlet)
-        out["domination_of_dirichlet"] = float(np.max(np.abs(s_dir) - s_dom))
-
-        if name == "neumann":
-            means = (su * measure.masses).sum(axis=1)
-            out["mean_conservation"] = float(np.max(np.abs(means - means[0])))
-        return out
-
-    properties: dict[str, list[float]] = {}
-    for res in map(evaluate, cases):
-        for key, value in res.items():
-            properties.setdefault(key, []).append(value)
+            if name == "neumann":
+                means = (su * measure.masses).sum(axis=1)
+                properties["mean_conservation"].append(
+                    float(np.max(np.abs(means - means[0])))
+                )
 
     reports = []
     for key in sorted(properties):

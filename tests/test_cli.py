@@ -200,6 +200,26 @@ def test_evolve_nan_tol_flag_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, config_tol", [("nan", None), ("-1", None), (None, -1)])
+def test_poisson_bad_tol_is_usage_error(tmp_path, capsys, flag, config_tol):
+    doc = {
+        "N": 3,
+        "m": 2,
+        "spec": [{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
+        "f": {"kind": "random", "seed": 0},
+    }
+    if config_tol is not None:
+        doc["tol"] = config_tol
+    out = tmp_path / "x"
+    args = ["poisson", "--config", write_config(tmp_path, doc), "--out", out]
+    if flag is not None:
+        args += ["--tol", flag]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+    assert not out.exists()
+
+
 def test_evolve_missing_key(tmp_path):
     doc = dict(BASE_EVOLVE)
     del doc["tau"]

@@ -402,6 +402,21 @@ def test_poisson_neumann_incompatible_source_rejected():
         poisson_solve(form, measure, RobinSpec.neumann(3), ones)
 
 
+def test_poisson_rejects_bad_solver_controls():
+    g, form, measure = _setup(m=2)
+    spec = RobinSpec((AbsoluteValue(1.0), Zero(), DirichletIndicator()))
+    f = _random(g, 0)
+    for bad in (
+        dict(tol=math.nan),
+        dict(tol=-1.0),
+        dict(tol=0.0),
+        dict(tol=INF),
+        dict(max_inner_iters=0),
+    ):
+        with pytest.raises(ConfigError):
+            poisson_solve(form, measure, spec, f, **bad)
+
+
 def test_poisson_robin_optimality_general_source():
     # the exact boundary stationarity: nd_i + beta u(p_i) = mu({p_i}) f(p_i)
     g, form, measure = _setup(m=3)
@@ -437,10 +452,23 @@ def test_poisson_mixed_spec_residual():
     assert report.kkt_residual <= 1e-9
 
 
-def test_poisson_nonlinear_spec_residual():
-    g, form, measure = _setup(m=2)
-    spec = RobinSpec.uniform(AbsoluteValue(0.3), 3)
-    f = _random(g, 15)
+@pytest.mark.parametrize(
+    "m, spec, seed",
+    [
+        pytest.param(2, RobinSpec.uniform(AbsoluteValue(0.3), 3), 15, id="absolute"),
+        # thousands of sweeps, the last ones moving the objective only at
+        # roundoff; the residual test alone must end the solve
+        pytest.param(
+            3,
+            RobinSpec((AbsoluteValue(0.01), Zero(), Quadratic(0.01))),
+            0,
+            id="mixed-slow",
+        ),
+    ],
+)
+def test_poisson_nonlinear_spec_residual(m, spec, seed):
+    g, form, measure = _setup(m=m)
+    f = _random(g, seed)
     u, report = poisson_solve(form, measure, spec, f, tol=1e-10)
     assert poisson_residual(form, measure, spec, f.values, u.values) <= 1e-9
 
