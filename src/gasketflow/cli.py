@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .energy import EnergyForm, energy_profile, harmonic_function
-from .errors import ConfigError, ConvergenceError, GasketflowError
+from .errors import ConfigError, ConvergenceError, GasketflowError, ResourceLimitError
 from .flow import FlowConfig, evolve, poisson_solve
 from .gasket import VertexFunction, build_level, vertex_coordinates
 from .measure import MeasureWeights, vertex_measure
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         parser.error("--m must be >= 0")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

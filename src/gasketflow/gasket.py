@@ -23,8 +23,10 @@ import numpy as np
 
 from .errors import DomainMismatchError, ResourceLimitError
 
-#: constructions with more cells than this are refused outright
-MAX_CELLS = 4_000_000
+#: byte budget for the (cells, n, n) int64 corner array that build_level
+#: sorts; a build peaks at about five times this.  256 MiB admits levels
+#: 0-13 for n = 3 and 0-10 for n = 4.
+MAX_CORNER_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -167,18 +169,29 @@ def build_level(n: int, m: int) -> GasketGraph:
         raise ValueError(f"n must be >= 2, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if n**m > MAX_CELLS:
+    # n**m cells of n corners of n weights; n >= 2, so m > 64 is over any budget
+    if m > 64 or 8 * n ** (m + 2) > MAX_CORNER_BYTES:
         raise ResourceLimitError(
-            f"level {m} of the {n}-point gasket has {n ** m} cells "
-            f"(limit {MAX_CELLS})"
+            f"level {m} of the {n}-point gasket needs 8*{n}^{m + 2} bytes of "
+            f"corner weights (limit {MAX_CORNER_BYTES} bytes)"
         )
 
     unit = np.eye(n, dtype=np.int64)
     base = np.zeros((1, n), dtype=np.int64)
     for _ in range(m):  # child c*n + i of cell c has base weights 2 * base_c + e_i
         base = (2 * base[:, None, :] + unit).reshape(-1, n)
-    corners = base[:, None, :] + unit
-    weights, cells = np.unique(corners.reshape(-1, n), axis=0, return_inverse=True)
+    corners = (base[:, None, :] + unit).reshape(-1, n)
+    # lexicographic row sort (lexsort's last key is primary), then one
+    # vertex per run of equal rows: np.unique(axis=0) without its slow
+    # structured-dtype sort
+    order = np.lexsort(corners.T[::-1])
+    corners = corners[order]
+    first_of_run = np.empty(len(corners), dtype=bool)
+    first_of_run[0] = True
+    np.any(corners[1:] != corners[:-1], axis=1, out=first_of_run[1:])
+    weights = corners[first_of_run]
+    cells = np.empty(len(corners), dtype=np.intp)
+    cells[order] = np.cumsum(first_of_run) - 1
     cells = cells.reshape(-1, n)
 
     # two cells share at most one vertex, so every edge lies in exactly one cell

@@ -8,8 +8,11 @@ functional per boundary vertex turns the plain energy into
 
 which encodes Neumann (B = 0), Dirichlet (B = indicator of {0}) and general
 Robin-type conditions variationally.  Every built-in kind is convex and
-comes with a closed-form (or one scalar root-find) proximal map, which is
-what the implicit Euler flow consumes.
+comes with a proximal map, which is what the implicit Euler flow consumes:
+closed forms everywhere except the power kind at p outside {1, 2, 3},
+which takes a few Newton steps on a scalar root.  The maps work on Python
+floats with ``math``, because the boundary sweeps call them one
+coordinate at a time.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainMismatchError, UnsupportedOperationError
 from .energy import EnergyForm, batch_energy, energy
 from .gasket import VertexFunction
 
 INF = math.inf
+EPS = math.ulp(1.0)
 
 
 class BoundaryFunctional:
@@ -46,8 +49,8 @@ class BoundaryFunctional:
             raise UnsupportedOperationError(
                 f"proximal map needs a convex functional, {self.kind} is not"
             )
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0.0 < lam < INF:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         return self._prox(float(lam), float(s))
 
     def _prox(self, lam: float, s: float) -> float:
@@ -180,6 +183,10 @@ class Power(BoundaryFunctional):
     """B(s) = beta * |s|^p / p for p >= 1.
 
     Interpolates the absolute-value (p = 1) and quadratic (p = 2) kinds.
+    The proximal map has magnitude rho, the root in [0, |s|] of
+    rho + lam*beta*rho^(p-1) = |s|: a closed form for p in {1, 2, 3},
+    Newton steps otherwise, accurate relative to rho (not to an absolute
+    tolerance, which would lose the tiny roots of p near 1).
     """
 
     beta: float
@@ -206,9 +213,32 @@ class Power(BoundaryFunctional):
         x = abs(s)
         if x == 0.0:
             return 0.0
-        # rho + lam*beta*rho^(p-1) = x has a unique root in [0, x]
-        fn = lambda rho: rho + lam * self.beta * rho ** (p - 1.0) - x
-        rho = brentq(fn, 0.0, x, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        c = lam * self.beta
+        if p == 3.0:
+            # the positive root of c*rho^2 + rho - x, free of cancellation;
+            # hypot(1, 2 sqrt(c x)) is sqrt(1 + 4 c x) without overflow
+            root = math.hypot(1.0, 2.0 * math.sqrt(c) * math.sqrt(x))
+            return math.copysign(2.0 * x / (1.0 + root), s)
+        # f(rho) = rho + c*rho^q - x is convex and increasing in log(rho), so
+        # Newton steps on log(rho) from above the root decrease monotonically
+        # to it: no step can leave [root, start], and none needs a bisection
+        # safeguard.  The start is min(x, (x/c)^(1/q)), taken in logs so that
+        # it cannot overflow, and raised by the rounding of those logs
+        # (amplified by 1/q) so that it stays above the root.
+        q = p - 1.0
+        log_x, log_lam, log_beta = math.log(x), math.log(lam), math.log(self.beta)
+        log_u = (log_x - log_lam - log_beta) / q
+        log_u += 8.0 * EPS * (abs(log_x) + abs(log_lam) + abs(log_beta) + 1.0) / q
+        rho = x if log_u >= log_x else math.exp(log_u)
+        while True:
+            t = c * rho**q
+            f = rho + t - x
+            if not f > 0.0:  # at the root, up to the rounding of f
+                break
+            last = rho
+            rho *= math.exp(-f / (rho + q * t))  # f / (df / dlog(rho))
+            if not last - rho > 4.0 * EPS * last:  # a step of a few ulp
+                break
         return math.copysign(rho, s)
 
     def subdifferential(self, s):

@@ -9,6 +9,7 @@ scalar minimization for proximal maps.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,34 @@ def prox_oracle(b, lam: float, s: float) -> float:
         options={"xatol": 1e-12},
     )
     return float(res.x)
+
+
+def power_prox_oracle(b, lam: float, s: float):
+    """Minimize beta*|t|^p/p + (t - s)^2/(2 lam) by bounded scalar search,
+    at any scale of s and lam*beta.
+
+    The minimizer has the sign of s and a magnitude in [0, u], with
+    u = min(|s|, (|s| / (lam beta))^(1/(p-1))): beyond u the penalty's slope
+    alone exceeds |s|/lam.  With t = u*w the objective, less a constant and
+    divided by u|s|/lam, is
+
+        phi(w) = k1 w^p / p - w + k2 w^2 / 2  on [0, 1],
+        k1 = lam beta u^(p-1) / |s| <= 1,  k2 = u / |s| <= 1,
+
+    which is finite for every s.  Returns phi, the search's minimizing w
+    and u (which may underflow to 0).
+    """
+    x, q = abs(s), b.p - 1.0
+    log_x, log_c = math.log(x), math.log(lam) + math.log(b.beta)
+    log_u = log_x if q == 0.0 else min(log_x, (log_x - log_c) / q)
+    k1 = math.exp(log_c + q * log_u - log_x)
+    k2 = math.exp(log_u - log_x)
+
+    def phi(w):
+        return k1 * w**b.p / b.p - w + k2 * w * w / 2.0
+
+    res = minimize_scalar(phi, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+    return phi, float(res.x), math.exp(log_u)
 
 
 def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-12):

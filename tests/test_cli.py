@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gasketflow
 from gasketflow import cli
 
 DATA = Path(__file__).parent / "data"
@@ -21,6 +25,17 @@ def manifest_without_timings(path: Path) -> dict:
     doc = json.loads(read(path))
     doc.pop("timings")
     return doc
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # a fresh interpreter: this one has imported scipy.optimize for the oracles
+    src = str(Path(gasketflow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gasketflow.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +78,12 @@ def test_gasket_bad_weights_is_usage_error(tmp_path):
         ["gasket", "--n", 3, "--m", 1, "--weights", "0.5,0.5,0.5", "--out", tmp_path]
     )
     assert code == 2
+
+
+def test_gasket_over_memory_budget_is_usage_error(tmp_path, capsys):
+    assert run_cli(["gasket", "--n", 20, "--m", 5, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: level 5 of the 20-point gasket")
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,22 @@ def test_one_factorization_per_graph_measure_and_tau(monkeypatch):
     assert len(calls) == 3
 
 
+def test_power_near_one_boundary_solve_converges():
+    """For p just above 1 the boundary roots lie far below 1e-15, so the
+    prox must be accurate relative to the root for the sweeps to converge."""
+    g, form, measure = _setup(m=2)
+    spec = RobinSpec((Zero(), Power(811.83, 1.07), DirichletIndicator()))
+    u0 = _random(g, 0)
+    tau = 7.2e-4
+    cfg = FlowConfig(tau, 5 * tau)
+    traj = evolve(form, measure, spec, u0, cfg)
+    assert len(traj.states) == 6
+    assert all(d.residual <= cfg.tol for d in traj.diagnostics)
+    for before, after in zip(traj.states, traj.states[1:]):
+        want = resolvent_oracle(form, measure, spec, before.values, tau=tau, tol=1e-13)
+        np.testing.assert_allclose(after.values, want, atol=5e-8)
+
+
 def test_neumann_mean_conservation():
     g, form, measure = _setup(m=3)
     traj = evolve(

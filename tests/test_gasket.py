@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,23 @@ def test_cell_tree_index_maps_match_weights(n):
             for v, k in zip(coarse.vertices, idx.tolist()):
                 scaled = tuple(w * 2 ** (big - m) for w in v.weights)
                 assert big_vertices[k].weights == scaled
+
+
+@pytest.mark.parametrize("n, mmax", [(3, 8), (4, 5), (5, 4), (2, 10)])
+def test_vertex_dedupe_matches_np_unique(n, mmax):
+    # corner i of the cell with word w weighs sum_k 2**(m-1-k) e_{w_k} + e_i;
+    # np.unique(axis=0) is the reference for the sorted vertices and the inverse
+    for m in range(mmax + 1):
+        g = build_level(n, m)
+        words = np.array(list(itertools.product(range(n), repeat=m)), dtype=np.int64)
+        base = np.zeros((n**m, n), dtype=np.int64)
+        for k in range(m):
+            base[np.arange(n**m), words[:, k]] += 2 ** (m - 1 - k)
+        corners = (base[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
+        weights, inverse = np.unique(corners, axis=0, return_inverse=True)
+        assert g.weights.dtype == weights.dtype and np.array_equal(g.weights, weights)
+        assert g.cell_corners.dtype == inverse.dtype
+        assert np.array_equal(g.cell_corners, inverse.reshape(-1, n))
 
 
 @pytest.mark.parametrize("n, mmax", [(3, 5), (4, 4)])
@@ -202,13 +222,29 @@ def test_build_level_argument_errors():
 
 
 def test_resource_limit(monkeypatch):
-    monkeypatch.setattr(gasket_mod, "MAX_CELLS", 10)
+    monkeypatch.setattr(gasket_mod, "MAX_CORNER_BYTES", 8 * 3**5)
     build_level.cache_clear()
     try:
+        gasket_mod.build_level(3, 3)  # its corner array is exactly the budget
         with pytest.raises(ResourceLimitError):
             gasket_mod.build_level(3, 4)
     finally:
         build_level.cache_clear()
+
+
+def test_resource_limit_counts_corner_bytes():
+    # (20, 5) has only 3.2 million cells, but its (cells, 20, 20) int64
+    # corner array would take 10 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_level(20, 5)
+        with pytest.raises(ResourceLimitError):
+            build_level(3, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_vertex_function_validation():

@@ -28,7 +28,7 @@ from gasketflow import (
 )
 from gasketflow.robin import default_check_grid, extended_difference, is_bimonotone
 
-from oracles import prox_oracle
+from oracles import power_prox_oracle, prox_oracle
 
 INF = math.inf
 
@@ -167,6 +167,46 @@ def test_prox_is_nonexpansive(b, s1, s2, lam):
     assert abs(t1 - t2) <= abs(s1 - s2) + 1e-12
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 6.0)),
+    log_lam=st.floats(-3.0, 3.0),
+    log_beta=st.floats(-3.0, 3.0),
+    log_x=st.floats(-300.0, 6.0),
+    negative=st.booleans(),
+)
+def test_power_prox_root_sign_and_minimality(p, log_lam, log_beta, log_x, negative):
+    lam, beta, x = 10.0**log_lam, 10.0**log_beta, 10.0**log_x
+    s = -x if negative else x
+    b = Power(beta, p)
+    got = b.prox(lam, s)
+    rho, c, q = abs(got), lam * beta, p - 1.0
+
+    # the sign of s is kept, and the map is odd
+    assert rho <= x
+    assert got == 0.0 or math.copysign(1.0, got) == math.copysign(1.0, s)
+    assert b.prox(lam, -s) == -got
+
+    # rho + c*rho^q = x, solved to a few ulp relative to rho: f changes sign
+    # within 16 ulp of rho, widened by the root's condition number
+    # 1/min(1, q) (for q < 1 the rounding of f itself is that large)
+    if q == 0.0:
+        assert rho == max(x - c, 0.0)
+    else:
+        delta = 16 * math.ulp(rho) / min(1.0, q)
+        f = lambda r: r + c * r**q - x
+        assert f(rho + delta) >= 0.0
+        assert rho - delta <= 0.0 or f(rho - delta) <= 0.0
+
+    # and it minimizes B(t) + (t - s)^2 / (2 lam), by generic search
+    phi, w, u = power_prox_oracle(b, lam, s)
+    if u == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(rho / u - w) <= 5e-6
+        assert phi(rho / u) <= phi(w) + 4 * math.ulp(1.0)
+
+
 @pytest.mark.parametrize("b", ALL_KINDS, ids=lambda b: repr(b))
 def test_prox_fixed_point_has_zero_residual(b):
     # (s - t)/lam must be a subgradient at t = prox(lam, s)
@@ -176,6 +216,13 @@ def test_prox_fixed_point_has_zero_residual(b):
         s = float(rng.uniform(-4.0, 4.0))
         t = b.prox(lam, s)
         assert b.subdiff_distance(t, (s - t) / lam) <= 1e-9
+
+
+@pytest.mark.parametrize("b", ALL_KINDS, ids=lambda b: repr(b))
+def test_prox_rejects_bad_lam(b):
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            b.prox(lam, 1.0)
 
 
 def test_subdiff_distance_infeasible_point():
