@@ -48,14 +48,14 @@ def _check_graph(form: EnergyForm, *funcs: VertexFunction) -> None:
 def energy(form: EnergyForm, u: VertexFunction) -> float:
     """Renormalized sum of squared differences over unordered edges."""
     _check_graph(form, u)
-    ei, ej = form.graph.edge_arrays
-    d = u.values[ei] - u.values[ej]
-    # np.sum is pairwise, safe for the ~1e4 terms of deep levels
-    return form.renormalization * float(np.sum(d * d))
+    return float(batch_energy(form, u.values))
 
 
 def batch_energy(form: EnergyForm, values: np.ndarray) -> np.ndarray:
-    """Energies of many functions at once; rows index samples."""
+    """Energies of many functions at once; rows index samples.
+
+    A 1-D ``values`` is one function and gives a scalar.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != form.graph.vertex_count:
         raise DomainMismatchError(
@@ -63,6 +63,7 @@ def batch_energy(form: EnergyForm, values: np.ndarray) -> np.ndarray:
         )
     ei, ej = form.graph.edge_arrays
     d = values[..., ei] - values[..., ej]
+    # np.sum is pairwise, safe for the ~1e4 terms of deep levels
     return form.renormalization * np.sum(d * d, axis=-1)
 
 

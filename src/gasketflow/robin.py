@@ -12,7 +12,8 @@ comes with a proximal map, which is what the implicit Euler flow consumes:
 closed forms everywhere except the power kind at p outside {1, 2, 3},
 which takes a few Newton steps on a scalar root.  The maps work on Python
 floats with ``math``, because the boundary sweeps call them one
-coordinate at a time.
+coordinate at a time.  Evaluation has one path: every functional is an
+elementwise array expression, and a scalar argument is the 0-d case.
 """
 
 from __future__ import annotations
@@ -23,11 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, UnsupportedOperationError
-from .energy import EnergyForm, batch_energy, energy
+from .energy import EnergyForm, _check_graph, batch_energy
 from .gasket import VertexFunction
 
 INF = math.inf
 EPS = math.ulp(1.0)
+
+
+def _floats(s) -> np.ndarray:
+    return np.asarray(s, dtype=np.float64)
 
 
 class BoundaryFunctional:
@@ -40,7 +45,7 @@ class BoundaryFunctional:
         return True
 
     def __call__(self, s):
-        """Evaluate at a scalar or an ndarray; values lie in [0, inf]."""
+        """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
         raise NotImplementedError
 
     def prox(self, lam: float, s: float) -> float:
@@ -83,7 +88,7 @@ class Zero(BoundaryFunctional):
     kind = "zero"
 
     def __call__(self, s):
-        return np.zeros_like(np.asarray(s, dtype=np.float64)) if np.ndim(s) else 0.0
+        return np.zeros_like(_floats(s))[()]
 
     def _prox(self, lam, s):
         return s
@@ -102,10 +107,7 @@ class DirichletIndicator(BoundaryFunctional):
     kind = "dirichlet"
 
     def __call__(self, s):
-        if np.ndim(s):
-            s = np.asarray(s, dtype=np.float64)
-            return np.where(s == 0.0, 0.0, INF)
-        return 0.0 if s == 0.0 else INF
+        return np.where(_floats(s) == 0.0, 0.0, INF)[()]
 
     def _prox(self, lam, s):
         return 0.0
@@ -130,8 +132,8 @@ class Quadratic(BoundaryFunctional):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=np.float64) if np.ndim(s) else s
-        return 0.5 * self.beta * s * s
+        s = _floats(s)
+        return (0.5 * self.beta * s * s)[()]
 
     def _prox(self, lam, s):
         return s / (1.0 + lam * self.beta)
@@ -157,7 +159,7 @@ class AbsoluteValue(BoundaryFunctional):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
     def __call__(self, s):
-        return self.beta * np.abs(s) if np.ndim(s) else self.beta * abs(s)
+        return (self.beta * np.abs(_floats(s)))[()]
 
     def _prox(self, lam, s):
         shift = lam * self.beta
@@ -201,8 +203,7 @@ class Power(BoundaryFunctional):
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     def __call__(self, s):
-        a = np.abs(s) if np.ndim(s) else abs(s)
-        return self.beta * a**self.p / self.p
+        return (self.beta * np.abs(_floats(s)) ** self.p / self.p)[()]
 
     def _prox(self, lam, s):
         p = self.p
@@ -269,10 +270,8 @@ class BoxIndicator(BoundaryFunctional):
             )
 
     def __call__(self, s):
-        if np.ndim(s):
-            s = np.asarray(s, dtype=np.float64)
-            return np.where((s >= self.lower) & (s <= self.upper), 0.0, INF)
-        return 0.0 if self.lower <= s <= self.upper else INF
+        s = _floats(s)
+        return np.where((s >= self.lower) & (s <= self.upper), 0.0, INF)[()]
 
     def _prox(self, lam, s):
         return min(max(s, self.lower), self.upper)
@@ -315,11 +314,11 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
         object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, s):
-        a = np.abs(np.asarray(s, dtype=np.float64)) if np.ndim(s) else abs(s)
+        a = np.abs(_floats(s))
         total = 0.5 * self.kappa * a * a
         for d, w in self.breakpoints:
             total = total + w * np.maximum(a - d, 0.0)
-        return total
+        return total[()]
 
     def _prox(self, lam, s):
         x = abs(s)
@@ -363,17 +362,17 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
         }
 
 
-_KIND_ALIASES = {
-    "zero": "zero",
-    "neumann": "zero",
-    "dirichlet": "dirichlet",
-    "quadratic": "quadratic",
-    "absolute_value": "absolute_value",
-    "abs": "absolute_value",
-    "power": "power",
-    "box": "box",
-    "plq": "plq",
-    "piecewise_linear_quadratic": "plq",
+_KINDS = {
+    "zero": Zero,
+    "neumann": Zero,
+    "dirichlet": DirichletIndicator,
+    "quadratic": Quadratic,
+    "absolute_value": AbsoluteValue,
+    "abs": AbsoluteValue,
+    "power": Power,
+    "box": BoxIndicator,
+    "plq": PiecewiseLinearQuadratic,
+    "piecewise_linear_quadratic": PiecewiseLinearQuadratic,
 }
 
 
@@ -387,29 +386,16 @@ def functional_from_json(obj) -> BoundaryFunctional:
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"boundary functional must be a kind string or dict, got {obj!r}")
-    kind = _KIND_ALIASES.get(str(obj["kind"]).lower())
-    if kind is None:
+    cls = _KINDS.get(str(obj["kind"]).lower())
+    if cls is None:
         raise ValueError(f"unknown boundary functional kind {obj['kind']!r}")
     params = {k: v for k, v in obj.items() if k != "kind"}
+    if cls is PiecewiseLinearQuadratic:
+        params.setdefault("breakpoints", ())  # a pure quadratic has none
     try:
-        if kind == "zero":
-            return Zero(**params)
-        if kind == "dirichlet":
-            return DirichletIndicator(**params)
-        if kind == "quadratic":
-            return Quadratic(**params)
-        if kind == "absolute_value":
-            return AbsoluteValue(**params)
-        if kind == "power":
-            return Power(**params)
-        if kind == "box":
-            return BoxIndicator(**params)
-        if kind == "plq":
-            bps = tuple((float(d), float(w)) for d, w in params.pop("breakpoints", ()))
-            return PiecewiseLinearQuadratic(breakpoints=bps, **params)
+        return cls(**params)
     except TypeError as exc:
-        raise ValueError(f"bad parameters for kind {kind!r}: {exc}") from exc
-    raise AssertionError(kind)
+        raise ValueError(f"bad parameters for kind {cls.kind!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -461,39 +447,31 @@ class RobinSpec:
 
 def perturbed_energy(form: EnergyForm, spec: RobinSpec, u: VertexFunction) -> float:
     """energy(u) plus the boundary penalties; infinity propagates."""
+    _check_graph(form, u)
+    return float(batch_perturbed_energy(form, spec, u.values))
+
+
+def batch_perturbed_energy(form: EnergyForm, spec: RobinSpec, values: np.ndarray) -> np.ndarray:
+    """Perturbed energies of many functions at once; rows index samples."""
     if spec.n != form.graph.n:
         raise DomainMismatchError(
             f"spec has {spec.n} functionals, graph has n={form.graph.n}"
         )
-    total = energy(form, u)
-    for b, idx in zip(spec.functionals, form.graph.boundary):
-        total += float(b(float(u.values[idx])))
-        if total == INF:
-            return INF
-    return total
-
-
-def batch_perturbed_energy(form: EnergyForm, spec: RobinSpec, values: np.ndarray) -> np.ndarray:
-    """Vectorized perturbed energy over rows of ``values``."""
-    if spec.n != form.graph.n:
-        raise DomainMismatchError("spec length does not match the graph")
     total = batch_energy(form, values)
     for b, idx in zip(spec.functionals, form.graph.boundary):
         total = total + b(values[..., idx])
     return total
 
 
-def extended_difference(a: float, b: float) -> float:
-    """a - b on [0, inf] with the convention inf - inf = inf.
+def extended_difference(a, b):
+    """a - b elementwise on [0, inf] with the convention inf - inf = inf.
 
     Only used when checking bi-monotonicity of differences of boundary
     functionals; ordinary arithmetic applies everywhere else.
     """
-    if a == INF:
-        return INF
-    if b == INF:
-        return -INF
-    return a - b
+    a, b = _floats(a), _floats(b)
+    with np.errstate(invalid="ignore"):
+        return np.where(a == INF, INF, np.where(b == INF, -INF, a - b))[()]
 
 
 def default_check_grid(radius: float = 10.0, points: int = 41) -> np.ndarray:
@@ -502,27 +480,38 @@ def default_check_grid(radius: float = 10.0, points: int = 41) -> np.ndarray:
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+def _le(a: np.ndarray, b: np.ndarray, slack: float) -> np.ndarray:
+    """a <= b elementwise, with relative slack, on the extended reals."""
+    with np.errstate(all="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        finite_le = (a != INF) & (b != -INF) & (a <= b + slack * scale)
+    return (b == INF) | (a == -INF) | finite_le
+
+
 def is_bimonotone(values: np.ndarray, grid: np.ndarray, slack: float = 1e-12) -> bool:
     """Decreasing left of 0 and increasing right of 0, up to relative slack."""
-    grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
+    grid = _floats(grid)
+    values = _floats(values)
     order = np.argsort(grid, kind="stable")
     grid, values = grid[order], values[order]
+    left, right = values[:-1], values[1:]
+    decreasing = ~(grid[1:] <= 0.0) | _le(right, left, slack)
+    increasing = ~(grid[:-1] >= 0.0) | _le(left, right, slack)
+    return bool(np.all(decreasing & increasing))
 
-    def le(a, b):  # a <= b with slack and inf-awareness
-        if b == INF or a == -INF:
-            return True
-        if a == INF or b == -INF:
-            return False
-        return a <= b + slack * max(1.0, abs(a), abs(b))
 
-    for k in range(len(grid) - 1):
-        s0, s1 = grid[k], grid[k + 1]
-        if s1 <= 0.0 and not le(values[k + 1], values[k]):
-            return False
-        if s0 >= 0.0 and not le(values[k], values[k + 1]):
-            return False
-    return True
+def _differences_bimonotone(bhat: RobinSpec, b: RobinSpec, grid, signs) -> bool:
+    """Whether s -> Bhat_i(s) - B_i(sign * |s|) is bi-monotone on the grid
+    for every i and every sign."""
+    if bhat.n != b.n:
+        raise DomainMismatchError("specs have different lengths")
+    grid = default_check_grid() if grid is None else _floats(grid)
+    mags = np.abs(grid)
+    return all(
+        is_bimonotone(extended_difference(bh(grid), bb(sign * mags)), grid)
+        for sign in signs
+        for bh, bb in zip(bhat.functionals, b.functionals)
+    )
 
 
 def dominates_condition(
@@ -533,31 +522,12 @@ def dominates_condition(
     This is the sufficient condition under which the flow generated by the
     Bhat-perturbed energy is dominated by the flow of the B-perturbed one.
     """
-    if bhat.n != b.n:
-        raise DomainMismatchError("specs have different lengths")
-    if grid is None:
-        grid = default_check_grid()
-    for bh, bb in zip(bhat.functionals, b.functionals):
-        diffs = np.array(
-            [extended_difference(float(bh(s)), float(bb(abs(s)))) for s in grid]
-        )
-        if not is_bimonotone(diffs, grid):
-            return False
-    return True
+    return _differences_bimonotone(bhat, b, grid, (1.0,))
 
 
 def totally_dominates_condition(
     bhat: RobinSpec, b: RobinSpec, grid: np.ndarray | None = None
 ) -> bool:
-    """Grid check for the two-sided (total) domination condition."""
-    if grid is None:
-        grid = default_check_grid()
-    if not dominates_condition(bhat, b, grid):
-        return False
-    for bh, bb in zip(bhat.functionals, b.functionals):
-        diffs = np.array(
-            [extended_difference(float(bh(s)), float(bb(-abs(s)))) for s in grid]
-        )
-        if not is_bimonotone(diffs, grid):
-            return False
-    return True
+    """Grid check for the two-sided (total) domination condition: the
+    differences against B_i(-|s|) are bi-monotone too."""
+    return _differences_bimonotone(bhat, b, grid, (1.0, -1.0))

@@ -174,10 +174,7 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
     alpha = rng.uniform(0.0, 2.0 * cfg.value_range, size=(k, 1))
     alpha[alpha == 0.0] = 1e-9
 
-    low = 0.5 * (u + v - alpha)
-    high = 0.5 * (u + v + alpha)
-    first = np.minimum(np.maximum(u, low), high)
-    second = np.maximum(np.minimum(v, high), low)
+    first, second = _clamped_pair(u, v, alpha)
     lhs = batch_energy(form, first) + batch_energy(form, second)
     rhs = batch_energy(form, u) + batch_energy(form, v)
     tag = f"[n={form.graph.n},m={form.graph.level}]"
@@ -186,8 +183,7 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
     )
 
     w = np.abs(v)
-    low = np.minimum(np.abs(u), w) * np.sign(u)
-    high = np.maximum(np.abs(u), w)
+    low, high = _envelope_pair(u, w)
     lhs = batch_energy(form, low) + batch_energy(form, high)
     rhs = batch_energy(form, u) + batch_energy(form, w)
     envelope = _report(
@@ -265,10 +261,7 @@ def check_perturbed_criteria(
         if spec.convex:
             alpha = rng.uniform(0.0, 2.0 * cfg.value_range, size=(k, 1))
             alpha[alpha == 0.0] = 1e-9
-            low = 0.5 * (u + v - alpha)
-            high = 0.5 * (u + v + alpha)
-            first = np.minimum(np.maximum(u, low), high)
-            second = np.maximum(np.minimum(v, high), low)
+            first, second = _clamped_pair(u, v, alpha)
             lhs = batch_perturbed_energy(form, spec, first) + batch_perturbed_energy(
                 form, spec, second
             )
@@ -280,8 +273,7 @@ def check_perturbed_criteria(
             w = np.abs(v)
             u_feas = u.copy()
             u_feas[:, list(graph.boundary)] = 0.0  # inside the pinned domain
-            low = np.minimum(np.abs(u_feas), w) * np.sign(u_feas)
-            high = np.maximum(np.abs(u_feas), w)
+            low, high = _envelope_pair(u_feas, w)
             lhs = batch_perturbed_energy(form, dirichlet, low) + batch_perturbed_energy(
                 form, spec, high
             )
@@ -467,19 +459,10 @@ def check_flow_properties(
                     float(np.max(np.abs(means - means[0])))
                 )
 
-    reports = []
-    for key in sorted(properties):
-        vals = np.array(properties[key])
-        reports.append(
-            CheckReport(
-                property=key,
-                samples=int(vals.size),
-                violations=int(np.sum(vals > cfg.violation_tol)),
-                max_slack=float(np.max(vals)),
-                seed=cfg.seed,
-            )
-        )
-    return reports
+    return [
+        _report(key, properties[key], cfg.seed, cfg.violation_tol)
+        for key in sorted(properties)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,31 @@ def power_prox_oracle(b, lam: float, s: float):
     return phi, float(res.x), math.exp(log_u)
 
 
+def bimonotone_oracle(values: np.ndarray, grid: np.ndarray, slack: float = 1e-12) -> bool:
+    """Decreasing left of 0 and increasing right of 0, up to relative slack,
+    checked one consecutive pair at a time."""
+    INF = math.inf
+    grid = np.asarray(grid, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(grid, kind="stable")
+    grid, values = grid[order], values[order]
+
+    def le(a, b):  # a <= b with slack and inf-awareness
+        if b == INF or a == -INF:
+            return True
+        if a == INF or b == -INF:
+            return False
+        return a <= b + slack * max(1.0, abs(a), abs(b))
+
+    for k in range(len(grid) - 1):
+        s0, s1 = grid[k], grid[k + 1]
+        if s1 <= 0.0 and not le(values[k + 1], values[k]):
+            return False
+        if s0 >= 0.0 and not le(values[k], values[k + 1]):
+            return False
+    return True
+
+
 def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-12):
     """Full-space proximal gradient for the backward-Euler minimizer.
 

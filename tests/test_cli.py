@@ -295,6 +295,7 @@ def test_poisson_neumann_zero_mean_source(tmp_path):
     assert run_cli(["poisson", "--config", cfg, "--out", out]) == 0
     report = json.loads(read(out / "report.json"))
     assert report["kkt_residual"] <= 1e-9
+    assert report["interior_residual"] <= 1e-9
     assert report["gauged"] is True
 
 

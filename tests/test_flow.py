@@ -469,24 +469,37 @@ def test_poisson_mixed_spec_residual():
 
 
 @pytest.mark.parametrize(
-    "m, spec, seed",
+    "m, spec, seed, tol",
     [
-        pytest.param(2, RobinSpec.uniform(AbsoluteValue(0.3), 3), 15, id="absolute"),
+        pytest.param(2, RobinSpec.uniform(AbsoluteValue(0.3), 3), 15, 1e-10, id="absolute"),
         # thousands of sweeps, the last ones moving the objective only at
         # roundoff; the residual test alone must end the solve
         pytest.param(
             3,
             RobinSpec((AbsoluteValue(0.01), Zero(), Quadratic(0.01))),
             0,
+            1e-10,
             id="mixed-slow",
+        ),
+        # stops with a boundary residual just under tol; adding the interior
+        # residual to it would report more than tol
+        pytest.param(
+            3,
+            RobinSpec((AbsoluteValue(0.001), Zero(), Quadratic(0.001))),
+            0,
+            1e-9,
+            id="kkt-at-tol",
         ),
     ],
 )
-def test_poisson_nonlinear_spec_residual(m, spec, seed):
+def test_poisson_nonlinear_spec_residual(m, spec, seed, tol):
     g, form, measure = _setup(m=m)
     f = _random(g, seed)
-    u, report = poisson_solve(form, measure, spec, f, tol=1e-10)
+    u, report = poisson_solve(form, measure, spec, f, tol=tol)
     assert poisson_residual(form, measure, spec, f.values, u.values) <= 1e-9
+    assert report.kkt_residual <= tol
+    assert report.kkt_residual == pytest.approx(np.linalg.norm(report.boundary_residuals))
+    assert 0.0 <= report.interior_residual <= tol
 
 
 # ---------------------------------------------------------------------------

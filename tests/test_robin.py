@@ -28,7 +28,7 @@ from gasketflow import (
 )
 from gasketflow.robin import default_check_grid, extended_difference, is_bimonotone
 
-from oracles import power_prox_oracle, prox_oracle
+from oracles import bimonotone_oracle, power_prox_oracle, prox_oracle
 
 INF = math.inf
 
@@ -359,6 +359,38 @@ def test_extended_difference_convention():
     assert extended_difference(INF, 1.0) == INF
     assert extended_difference(1.0, INF) == -INF
     assert extended_difference(3.0, 1.0) == 2.0
+    a = np.array([INF, INF, 1.0, 3.0])
+    b = np.array([INF, 1.0, INF, 1.0])
+    np.testing.assert_array_equal(extended_difference(a, b), [INF, INF, -INF, 2.0])
+
+
+@st.composite
+def _bimonotone_cases(draw):
+    """Small grids with signed zeros and repeated points; values at and
+    one ulp either side of the slack boundary, and infinities."""
+    size = draw(st.integers(0, 10))
+    points = st.sampled_from([-0.0, 0.0]) | st.floats(-10.0, 10.0)
+    grid = draw(st.lists(points, min_size=size, max_size=size))
+    base = draw(st.floats(-1e3, 1e3))
+    edge = base + 1e-12 * max(1.0, abs(base))
+    pool = [base, edge, math.nextafter(edge, INF), math.nextafter(edge, -INF), INF, -INF]
+    values = draw(
+        st.lists(st.sampled_from(pool) | st.floats(-1e3, 1e3), min_size=size, max_size=size)
+    )
+    if draw(st.booleans()):  # values following |s|, mostly bi-monotone
+        ranks = sorted(range(size), key=lambda k: abs(grid[k]))
+        ordered = sorted(values)
+        values = [0.0] * size
+        for k, value in zip(ranks, ordered):
+            values[k] = value
+    return np.array(values), np.array(grid)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bimonotone_cases())
+def test_is_bimonotone_matches_pairwise_oracle(case):
+    values, grid = case
+    assert is_bimonotone(values, grid) == bimonotone_oracle(values, grid)
 
 
 def test_every_builtin_dominates_condition_vs_neumann():
