@@ -61,7 +61,6 @@ from .robin import (
 )
 from .verify import (
     CheckReport,
-    FlowCheckConfig,
     SampleConfig,
     builtin_specs,
     check_energy_inequalities,

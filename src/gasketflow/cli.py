@@ -157,16 +157,13 @@ def _parse_vertex_data(obj, graph, where: str, seed_override=None) -> VertexFunc
     raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
 
 
-def _parse_weights_flag(raw: str | None, n: int) -> MeasureWeights:
-    if raw is None:
-        return MeasureWeights.uniform(n)
+def _numbers_flag(raw: str, flag: str, count: int) -> np.ndarray:
+    """A comma-separated flag, checked like the JSON list it stands for."""
     try:
-        weights = MeasureWeights(tuple(float(x) for x in raw.split(",")))
+        values = [float(x) for x in raw.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"--weights: {exc}") from exc
-    if weights.n != n:
-        raise ConfigError(f"--weights must have {n} entries, got {weights.n}")
-    return weights
+        raise ConfigError(f"{flag}: {exc}") from exc
+    return _numbers(values, flag, count)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +174,13 @@ def cmd_gasket(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     graph = build_level(args.n, args.m)
-    weights = _parse_weights_flag(args.weights, args.n)
+    if args.weights is None:
+        weights = MeasureWeights.uniform(args.n)
+    else:
+        try:
+            weights = MeasureWeights(tuple(_numbers_flag(args.weights, "--weights", args.n)))
+        except ValueError as exc:
+            raise ConfigError(f"--weights: {exc}") from exc
     measure = vertex_measure(graph, weights)
 
     _write_json(out / "graph.json", graph.to_json_dict())
@@ -205,12 +208,7 @@ def cmd_gasket(args) -> int:
 def cmd_extend(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    try:
-        boundary = [float(x) for x in args.boundary.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--boundary: {exc}") from exc
-    if len(boundary) != args.n:
-        raise ConfigError(f"--boundary must have {args.n} entries, got {len(boundary)}")
+    boundary = _numbers_flag(args.boundary, "--boundary", args.n).tolist()
     graph = build_level(args.n, args.m)
     u = harmonic_function(graph, boundary)
     _write_csv(
@@ -313,13 +311,13 @@ def cmd_poisson(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    result = run_suite(args.suite, seed=args.seed or 0, sample_count=args.samples)
+    result = run_suite(args.suite, seed=args.seed, sample_count=args.samples)
     _write_json(out / "report.json", result)
     _write_manifest(
         out,
         "verify",
         {"suite": args.suite, "samples": args.samples},
-        args.seed or 0,
+        args.seed,
         {"report": out / "report.json"},
         started,
     )

@@ -9,6 +9,7 @@ mu_i = 1/N reproduces the normalized Hausdorff case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class MeasureWeights:
         w = tuple(float(x) for x in self.weights)
         if len(w) < 2:
             raise ValueError("need at least two weights")
-        if any(x <= 0 for x in w):
-            raise ValueError(f"weights must be strictly positive, got {w}")
+        if not all(math.isfinite(x) and x > 0 for x in w):
+            raise ValueError(f"weights must be finite and strictly positive, got {w}")
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total}")
@@ -50,7 +51,7 @@ class VertexMeasure:
         masses = np.asarray(self.masses, dtype=np.float64)
         if masses.shape != (self.graph.vertex_count,):
             raise DomainMismatchError("mass vector does not match the graph")
-        if np.any(masses <= 0):
+        if not np.all(masses > 0):
             raise ValueError("every vertex mass must be positive")
         if abs(float(masses.sum()) - 1.0) > 1e-12:
             raise ValueError("vertex masses must sum to 1")

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .energy import EnergyForm, batch_energy
+from .errors import ConfigError
 from .flow import FlowConfig, evolve
 from .gasket import VertexFunction, build_level
 from .measure import MeasureWeights, vertex_measure
@@ -38,19 +39,19 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling plan shared by the randomized checks."""
+    """Seed and sample count of one randomized check.
+
+    Every check draws its values uniformly from [-1, 1).
+    """
 
     seed: int = 0
     sample_count: int = 1000
-    value_range: float = 1.0
-    levels: tuple[int, ...] = (1, 2, 3)
-    n_values: tuple[int, ...] = (3,)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.value_range <= 0:
-            raise ValueError("value_range must be positive")
+            raise ConfigError(f"sample count must be >= 1, got {self.sample_count}")
 
 
 @dataclass
@@ -62,13 +63,7 @@ class CheckReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "samples": self.samples,
-            "violations": self.violations,
-            "max_slack": self.max_slack,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 REL_TOL = 1e-12
@@ -136,9 +131,8 @@ def check_scalar_inequalities(cfg: SampleConfig) -> list[CheckReport]:
     """
     rng = np.random.default_rng(cfg.seed)
     k = cfg.sample_count
-    r = cfg.value_range
-    a1, a2, b1, b2 = rng.uniform(-r, r, size=(4, k))
-    alpha = rng.uniform(0.0, 2.0 * r, size=k)
+    a1, a2, b1, b2 = rng.uniform(-1.0, 1.0, size=(4, k))
+    alpha = rng.uniform(0.0, 2.0, size=k)
     alpha[alpha == 0.0] = 1e-9
 
     f1, s1 = _clamped_pair(a1, b1, alpha)
@@ -160,8 +154,8 @@ def check_scalar_inequalities(cfg: SampleConfig) -> list[CheckReport]:
 # energy inequalities at a fixed level
 
 
-def _sample_matrix(rng, count, width, value_range):
-    return rng.uniform(-value_range, value_range, size=(count, width))
+def _sample_matrix(rng, count, width):
+    return rng.uniform(-1.0, 1.0, size=(count, width))
 
 
 def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[CheckReport]:
@@ -169,9 +163,9 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
     rng = np.random.default_rng(cfg.seed)
     k = cfg.sample_count
     nv = form.graph.vertex_count
-    u = _sample_matrix(rng, k, nv, cfg.value_range)
-    v = _sample_matrix(rng, k, nv, cfg.value_range)
-    alpha = rng.uniform(0.0, 2.0 * cfg.value_range, size=(k, 1))
+    u = _sample_matrix(rng, k, nv)
+    v = _sample_matrix(rng, k, nv)
+    alpha = rng.uniform(0.0, 2.0, size=(k, 1))
     alpha[alpha == 0.0] = 1e-9
 
     first, second = _clamped_pair(u, v, alpha)
@@ -237,12 +231,8 @@ def check_perturbed_criteria(
     for name, spec in sorted(specs.items()):
         rng = np.random.default_rng((cfg.seed, _stable_hash(name)))
         k = cfg.sample_count
-        u = _with_feasible_boundary(
-            _sample_matrix(rng, k, nv, cfg.value_range), spec, graph, rng
-        )
-        v = _with_feasible_boundary(
-            _sample_matrix(rng, k, nv, cfg.value_range), spec, graph, rng
-        )
+        u = _with_feasible_boundary(_sample_matrix(rng, k, nv), spec, graph, rng)
+        v = _with_feasible_boundary(_sample_matrix(rng, k, nv), spec, graph, rng)
 
         wb_u = batch_perturbed_energy(form, spec, u)
         wb_v = batch_perturbed_energy(form, spec, v)
@@ -259,7 +249,7 @@ def check_perturbed_criteria(
         )
 
         if spec.convex:
-            alpha = rng.uniform(0.0, 2.0 * cfg.value_range, size=(k, 1))
+            alpha = rng.uniform(0.0, 2.0, size=(k, 1))
             alpha[alpha == 0.0] = 1e-9
             first, second = _clamped_pair(u, v, alpha)
             lhs = batch_perturbed_energy(form, spec, first) + batch_perturbed_energy(
@@ -346,8 +336,8 @@ def check_locality(
     worst = -INF
     for _ in range(cfg.sample_count):
         mask_a, mask_b = _subtree_masks(graph, rng)
-        u = rng.uniform(-cfg.value_range, cfg.value_range, graph.vertex_count) * mask_a
-        v = rng.uniform(-cfg.value_range, cfg.value_range, graph.vertex_count) * mask_b
+        u = rng.uniform(-1.0, 1.0, graph.vertex_count) * mask_a
+        v = rng.uniform(-1.0, 1.0, graph.vertex_count) * mask_b
         total = u + v
         exact_ok = _exact_energy(form, total) == _exact_energy(form, u) + _exact_energy(
             form, v
@@ -377,38 +367,21 @@ def check_locality(
 # flow properties
 
 
-@dataclass(frozen=True)
-class FlowCheckConfig:
-    """Ensemble description for the trajectory-level checks."""
-
-    seed: int = 0
-    n: int = 3
-    level: int = 3
-    pairs: int = 5
-    tau: float = 0.05
-    t_end: float = 1.0
-    tol: float = 1e-9
-    value_range: float = 1.0
-
-    @property
-    def violation_tol(self) -> float:
-        return 10.0 * self.tol
-
-
-def check_flow_properties(
-    cfg: FlowCheckConfig, specs: dict[str, RobinSpec] | None = None
-) -> list[CheckReport]:
+def check_flow_properties(cfg: SampleConfig) -> list[CheckReport]:
     """Trajectory-level invariants: positivity, order preservation, sup and
     weighted-L2 contraction, energy decay, Neumann mean conservation, and
-    the domination sandwich between the Neumann and pinned-boundary flows."""
-    graph = build_level(cfg.n, cfg.level)
+    the domination sandwich between the Neumann and pinned-boundary flows.
+
+    Runs ``cfg.sample_count`` pairs of initial data for every builtin spec
+    on level 2 of the 3-point gasket with the uniform measure, tau = 0.1,
+    t_end = 0.5 and tol = 1e-9; a property is violated above 10 * tol.
+    """
+    graph = build_level(3, 2)
     form = EnergyForm(graph)
-    measure = vertex_measure(graph, MeasureWeights.uniform(cfg.n))
-    if specs is None:
-        specs = builtin_specs(cfg.n)
-    config = FlowConfig(tau=cfg.tau, t_end=cfg.t_end, tol=cfg.tol)
-    neumann = RobinSpec.neumann(cfg.n)
-    dirichlet = RobinSpec.dirichlet(cfg.n)
+    measure = vertex_measure(graph, MeasureWeights.uniform(3))
+    config = FlowConfig(tau=0.1, t_end=0.5, tol=1e-9)
+    neumann = RobinSpec.neumann(3)
+    dirichlet = RobinSpec.dirichlet(3)
 
     def run(values, spec):
         return evolve(
@@ -417,12 +390,12 @@ def check_flow_properties(
 
     properties: dict[str, list[float]] = defaultdict(list)
     nv = graph.vertex_count
-    for name, spec in sorted(specs.items()):
-        for pair in range(cfg.pairs):
+    for name, spec in sorted(builtin_specs(3).items()):
+        for pair in range(cfg.sample_count):
             rng = np.random.default_rng((cfg.seed, _stable_hash(name), pair))
-            u0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
-            v0 = rng.uniform(-cfg.value_range, cfg.value_range, nv)
-            gap = np.abs(rng.uniform(-cfg.value_range, cfg.value_range, nv))
+            u0 = rng.uniform(-1.0, 1.0, nv)
+            v0 = rng.uniform(-1.0, 1.0, nv)
+            gap = np.abs(rng.uniform(-1.0, 1.0, nv))
 
             su = run(u0, spec)
             sv = run(v0, spec)
@@ -460,7 +433,7 @@ def check_flow_properties(
                 )
 
     return [
-        _report(key, properties[key], cfg.seed, cfg.violation_tol)
+        _report(key, properties[key], cfg.seed, 10.0 * config.tol)
         for key in sorted(properties)
     ]
 
@@ -469,43 +442,46 @@ def check_flow_properties(
 # suites
 
 
+DEFAULT_SAMPLES = {
+    "scalar": 100_000,
+    "energy": 1000,
+    "perturbed": 1000,
+    "locality": 100,
+    "flow": 3,
+}
+SUITE_NAMES = tuple(DEFAULT_SAMPLES)
+
+
 def run_suite(name: str, seed: int = 0, sample_count: int | None = None) -> dict:
     """Run one named suite and return its JSON-ready report."""
-    reports: list[CheckReport] = []
+    if name not in DEFAULT_SAMPLES:
+        raise ValueError(f"unknown suite {name!r}")
+    cfg = SampleConfig(seed, DEFAULT_SAMPLES[name] if sample_count is None else sample_count)
     if name == "scalar":
-        cfg = SampleConfig(seed=seed, sample_count=sample_count or 100_000)
         reports = check_scalar_inequalities(cfg)
     elif name == "energy":
-        plan = SampleConfig(seed=seed, sample_count=sample_count or 1000)
-        for n in plan.n_values:
-            for m in plan.levels:
-                cfg = SampleConfig(seed=seed + m, sample_count=plan.sample_count)
-                reports.extend(
-                    check_energy_inequalities(EnergyForm(build_level(n, m)), cfg)
-                )
+        reports = [
+            report
+            for m in (1, 2, 3)
+            for report in check_energy_inequalities(
+                EnergyForm(build_level(3, m)), SampleConfig(seed + m, cfg.sample_count)
+            )
+        ]
     elif name == "perturbed":
-        cfg = SampleConfig(seed=seed, sample_count=sample_count or 1000)
         reports = check_perturbed_criteria(
             EnergyForm(build_level(3, 2)), builtin_specs(3), cfg
         )
     elif name == "locality":
         form = EnergyForm(build_level(3, 2))
-        cfg = SampleConfig(seed=seed, sample_count=sample_count or 100)
-        for spec_name in ("neumann", "dirichlet", "quadratic", "mixed"):
-            reports.append(
-                check_locality(form, builtin_specs(3)[spec_name], cfg, spec_name)
-            )
-    elif name == "flow":
-        cfg = FlowCheckConfig(seed=seed, level=2, pairs=sample_count or 3, t_end=0.5, tau=0.1)
-        reports = check_flow_properties(cfg)
+        reports = [
+            check_locality(form, builtin_specs(3)[spec_name], cfg, spec_name)
+            for spec_name in ("neumann", "dirichlet", "quadratic", "mixed")
+        ]
     else:
-        raise ValueError(f"unknown suite {name!r}")
+        reports = check_flow_properties(cfg)
     return {
         "suite": name,
         "seed": seed,
         "reports": [r.to_dict() for r in reports],
         "violations": int(sum(r.violations for r in reports)),
     }
-
-
-SUITE_NAMES = ("scalar", "energy", "perturbed", "locality", "flow")

@@ -73,9 +73,10 @@ def test_gasket_rejects_invalid_n(tmp_path):
     assert exc.value.code == 2
 
 
-def test_gasket_bad_weights_is_usage_error(tmp_path):
+@pytest.mark.parametrize("weights", ["0.5,0.5,0.5", "nan,0.5,0.5"])
+def test_gasket_bad_weights_is_usage_error(tmp_path, weights):
     code = run_cli(
-        ["gasket", "--n", 3, "--m", 1, "--weights", "0.5,0.5,0.5", "--out", tmp_path]
+        ["gasket", "--n", 3, "--m", 1, "--weights", weights, "--out", tmp_path]
     )
     assert code == 2
 
@@ -107,9 +108,10 @@ def test_extend_profile_is_flat_for_harmonic_data(tmp_path):
     assert len(values) == 1 + (3**4 + 3) // 2
 
 
-def test_extend_wrong_boundary_length(tmp_path):
+@pytest.mark.parametrize("boundary", ["1,0", "nan,0,0"])
+def test_extend_wrong_boundary_length(tmp_path, boundary):
     code = run_cli(
-        ["extend", "--n", 3, "--m", 2, "--boundary", "1,0", "--out", tmp_path]
+        ["extend", "--n", 3, "--m", 2, "--boundary", boundary, "--out", tmp_path]
     )
     assert code == 2
 
@@ -361,6 +363,22 @@ def test_verify_flow_suite_passes(tmp_path):
     report = json.loads(read(out / "report.json"))
     assert report["violations"] == 0
     assert any(r["property"] == "positivity" for r in report["reports"])
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("flow", "--samples", 0),
+        ("flow", "--samples", -2),
+        ("scalar", "--samples", -5),
+        ("scalar", "--seed", -1),
+    ],
+)
+def test_verify_bad_flags_are_usage_errors(tmp_path, capsys, suite, flag, value):
+    out = tmp_path / "v"
+    assert run_cli(["verify", "--suite", suite, flag, value, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_unknown_suite(tmp_path):

@@ -22,6 +22,10 @@ def test_weights_validation():
         MeasureWeights((1.0, 0.0))  # zero entry
     with pytest.raises(ValueError):
         MeasureWeights((1.2, -0.2))
+    with pytest.raises(ValueError):
+        MeasureWeights((float("nan"), 0.5, 0.5))
+    with pytest.raises(ValueError):
+        MeasureWeights((float("inf"), 0.5, 0.5))
     w = MeasureWeights.uniform(4)
     assert sum(w.weights) == pytest.approx(1.0, abs=1e-15)
 

@@ -5,8 +5,8 @@ import pytest
 
 from gasketflow import (
     CheckReport,
+    ConfigError,
     EnergyForm,
-    FlowCheckConfig,
     RobinSpec,
     SampleConfig,
     build_level,
@@ -108,7 +108,7 @@ def test_locality_also_clean_at_level_one():
 
 
 def test_flow_properties_clean_small():
-    cfg = FlowCheckConfig(seed=0, level=2, pairs=2, tau=0.1, t_end=0.5)
+    cfg = SampleConfig(seed=0, sample_count=2)
     reports = check_flow_properties(cfg)
     names = {r.property for r in reports}
     assert {
@@ -159,3 +159,16 @@ def test_run_suite_json_ready():
     assert parsed["violations"] == 0
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_sample_config_rejects_bad_values():
+    with pytest.raises(ConfigError):
+        SampleConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        SampleConfig(sample_count=0)
+
+
+def test_run_suite_rejects_zero_samples():
+    # 0 is not "use the default": the flow suite would otherwise run 3 pairs
+    with pytest.raises(ConfigError):
+        run_suite("flow", sample_count=0)
