@@ -33,11 +33,9 @@ from .flow import (
 )
 from .gasket import (
     GasketGraph,
-    VertexAddress,
     VertexFunction,
     build_level,
     constant_function,
-    embed,
     restrict,
     simplex_vertices,
     vertex_coordinates,

@@ -22,12 +22,18 @@ import numpy as np
 
 from . import __version__
 from .energy import EnergyForm, energy_profile, harmonic_function
-from .errors import ConfigError, ConvergenceError, GasketflowError, ResourceLimitError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainMismatchError,
+    GasketflowError,
+    ResourceLimitError,
+)
 from .flow import FlowConfig, evolve, poisson_solve
 from .gasket import VertexFunction, build_level, vertex_coordinates
 from .measure import MeasureWeights, vertex_measure
 from .robin import RobinSpec
-from .verify import SUITE_NAMES, run_suite
+from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -81,6 +87,21 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+#: top-level config keys each command reads; any other key is an error
+_PROBLEM_KEYS = {"N", "m", "weights", "spec", "tol"}
+_EVOLVE_KEYS = _PROBLEM_KEYS | {"tau", "t_end", "max_inner_iters", "u0"}
+_POISSON_KEYS = _PROBLEM_KEYS | {"f"}
+
+
+def _reject_unknown_keys(cfg: dict, known: set[str], where: str) -> None:
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+            f"expected keys are {', '.join(sorted(known))}"
+        )
+
+
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -91,6 +112,12 @@ def _integer(value, what: str) -> int:
     # bool is an int subclass, and a JSON float such as 3.7 must not truncate
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
 
 
@@ -248,6 +275,7 @@ def cmd_evolve(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     cfg = _load_config(args.config)
+    _reject_unknown_keys(cfg, _EVOLVE_KEYS, args.config)
     graph, form, measure, spec = _parse_problem(cfg, args.config)
     tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
     try:
@@ -277,16 +305,18 @@ def cmd_poisson(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     cfg = _load_config(args.config)
+    _reject_unknown_keys(cfg, _POISSON_KEYS, args.config)
     graph, form, measure, spec = _parse_problem(cfg, args.config)
     tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
-    f = _parse_vertex_data(
-        _require(cfg, "f", args.config), graph, f"{args.config}:f", args.seed
-    )
-    if cfg.get("f", {}).get("zero_boundary"):
+    f_cfg = _require(cfg, "f", args.config)
+    f = _parse_vertex_data(f_cfg, graph, f"{args.config}:f", args.seed)
+    zero_boundary = _boolean(f_cfg.get("zero_boundary", False), f"{args.config}:f.zero_boundary")
+    zero_mean = _boolean(f_cfg.get("zero_mean", False), f"{args.config}:f.zero_mean")
+    if zero_boundary:
         vals = f.values.copy()
         vals[list(graph.boundary)] = 0.0
         f = VertexFunction(graph, vals)
-    if cfg.get("f", {}).get("zero_mean"):
+    if zero_mean:
         vals = f.values - float(np.sum(measure.masses * f.values))
         f = VertexFunction(graph, vals)
     u, report = poisson_solve(form, measure, spec, f, tol=tol)
@@ -296,7 +326,7 @@ def cmd_poisson(args) -> int:
         ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
     )
     _write_json(out / "report.json", report.to_dict())
-    seed = args.seed if args.seed is not None else cfg.get("f", {}).get("seed")
+    seed = args.seed if args.seed is not None else f_cfg.get("seed")
     _write_manifest(
         out,
         "poisson",
@@ -311,12 +341,13 @@ def cmd_poisson(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    result = run_suite(args.suite, seed=args.seed, sample_count=args.samples)
+    samples = DEFAULT_SAMPLES[args.suite] if args.samples is None else args.samples
+    result = run_suite(args.suite, seed=args.seed, sample_count=samples)
     _write_json(out / "report.json", result)
     _write_manifest(
         out,
         "verify",
-        {"suite": args.suite, "samples": args.samples},
+        {"suite": args.suite, "samples": samples},
         args.seed,
         {"report": out / "report.json"},
         started,
@@ -384,7 +415,9 @@ def main(argv=None) -> int:
         parser.error("--m must be >= 0")
     try:
         return args.func(args)
-    except (ConfigError, ResourceLimitError) as exc:
+    # on these command paths a DomainMismatchError can only come from the
+    # input, e.g. a pure Neumann poisson config whose source has nonzero mean
+    except (ConfigError, ResourceLimitError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -301,14 +301,7 @@ class PoissonReport:
     gauged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "kkt_residual": self.kkt_residual,
-            "interior_residual": self.interior_residual,
-            "boundary_residuals": list(self.boundary_residuals),
-            "compatibility": self.compatibility,
-            "gauged": self.gauged,
-        }
+        return asdict(self)
 
 
 def poisson_solve(

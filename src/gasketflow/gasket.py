@@ -9,14 +9,11 @@ A graph is integer arrays: the ``(V, N)`` vertex weights, the ``(C, N)``
 cell corners and the ``(E, 2)`` edges as two endpoint columns.  The word of
 level-m cell c is the m base-N digits of c, so its children are the cells
 c*N + i and every map between levels is index arithmetic on this cell tree.
-The tuples ``vertices``, ``cells``, ``cell_words`` and ``edges`` are
-read-only views built on first use, for export and tests.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,44 +24,6 @@ from .errors import DomainMismatchError, ResourceLimitError
 #: sorts; a build peaks at about five times this.  256 MiB admits levels
 #: 0-13 for n = 3 and 0-10 for n = 4.
 MAX_CORNER_BYTES = 256 * 2**20
-
-
-@dataclass(frozen=True)
-class VertexAddress:
-    """Exact label of a vertex of the level-m vertex set.
-
-    ``weights`` is a nonnegative integer vector (a_1, ..., a_N) summing to
-    2**level; the labelled point is sum_i (a_i / 2**level) * p_i.  Two
-    addresses denote the same point of the gasket iff their weights agree
-    after rescaling to a common level, which is an integer comparison.
-    """
-
-    level: int
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if len(self.weights) < 2:
-            raise ValueError("an address needs at least two weights")
-        if any(w < 0 for w in self.weights):
-            raise ValueError(f"weights must be nonnegative, got {self.weights}")
-        total = sum(self.weights)
-        if total != 2**self.level:
-            raise ValueError(
-                f"weights must sum to 2**level = {2 ** self.level}, got {total}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def rescaled(self, level: int) -> "VertexAddress":
-        """The same point relabelled at a finer level."""
-        if level < self.level:
-            raise ValueError("can only rescale to a level >= the current one")
-        factor = 2 ** (level - self.level)
-        return VertexAddress(level, tuple(w * factor for w in self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,36 +69,6 @@ class GasketGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint index arrays (i, j), i < j, of all edges sorted by (i, j)."""
         return self._edge_i, self._edge_j
-
-    # tuple views of the arrays, for export and tests
-
-    @functools.cached_property
-    def vertices(self) -> tuple[VertexAddress, ...]:
-        return tuple(VertexAddress(self.level, tuple(w)) for w in self.weights.tolist())
-
-    @functools.cached_property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.cell_corners.tolist()))
-
-    @functools.cached_property
-    def cell_words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product(range(self.n), repeat=self.level))
-
-    @functools.cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self._edge_i.tolist(), self._edge_j.tolist()))
-
-    def index_of(self, address: VertexAddress) -> int:
-        if address.n != self.n:
-            raise DomainMismatchError(
-                f"address has {address.n} weights, graph has n={self.n}"
-            )
-        if address.level <= self.level:
-            key = address.rescaled(self.level).weights
-            hits = np.flatnonzero((self.weights == key).all(axis=1))
-            if hits.size:
-                return int(hits[0])
-        raise DomainMismatchError(f"{address} is not a vertex of {self}")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         ei, ej = self.edge_arrays
@@ -287,13 +216,6 @@ def simplex_vertices(n: int) -> np.ndarray:
         pts[k, k - 1] = np.sqrt(1.0 - radius_sq)
     pts.setflags(write=False)
     return pts
-
-
-def embed(address: VertexAddress) -> np.ndarray:
-    """Euclidean coordinates of a vertex; for export only, never identity."""
-    pts = simplex_vertices(address.n)
-    coeff = np.asarray(address.weights, dtype=np.float64) / (2.0**address.level)
-    return coeff @ pts
 
 
 def vertex_coordinates(graph: GasketGraph) -> np.ndarray:

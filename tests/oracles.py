@@ -57,10 +57,20 @@ def brute_force_points(n: int, m: int):
     return vertices, [frozenset(c) for c in cells], edges
 
 
+def vertex_labels(graph):
+    """The graph's integer weight rows as tuples, in vertex order."""
+    return [tuple(row) for row in graph.weights.tolist()]
+
+
+def edge_pairs(graph):
+    """The graph's edges as (i, j) index tuples, in edge order."""
+    return list(zip(*(e.tolist() for e in graph.edge_arrays)))
+
+
 def address_points(graph):
     """The library graph's vertices as exact barycentric Fraction tuples."""
     scale = Fraction(1, 2**graph.level)
-    return {tuple(Fraction(w) * scale for w in v.weights) for v in graph.vertices}
+    return {tuple(Fraction(w) * scale for w in weights) for weights in vertex_labels(graph)}
 
 
 def min_energy_extension(n: int, m: int, coarse_values: np.ndarray):
@@ -72,14 +82,16 @@ def min_energy_extension(n: int, m: int, coarse_values: np.ndarray):
     """
     coarse = build_level(n, m)
     fine = build_level(n, m + 1)
+    # a coarse vertex is the fine vertex with twice its weights
+    fine_index = {weights: k for k, weights in enumerate(vertex_labels(fine))}
     fixed = {}
-    for i, v in enumerate(coarse.vertices):
-        fixed[fine.index_of(v.rescaled(m + 1))] = coarse_values[i]
+    for i, weights in enumerate(vertex_labels(coarse)):
+        fixed[fine_index[tuple(2 * w for w in weights)]] = coarse_values[i]
     free = [i for i in range(fine.vertex_count) if i not in fixed]
     pos = {f: k for k, f in enumerate(free)}
     a = np.zeros((len(free), len(free)))
     rhs = np.zeros(len(free))
-    for x, y in fine.edges:
+    for x, y in edge_pairs(fine):
         for s, t in ((x, y), (y, x)):
             if s in pos:
                 a[pos[s], pos[s]] += 1.0
@@ -214,7 +226,7 @@ def poisson_residual(form, measure, spec, f_values, u_values) -> float:
 def energy_reference(form: EnergyForm, values: np.ndarray) -> float:
     """Plain-Python energy evaluation (math.fsum-free, order independent check)."""
     total = 0.0
-    for a, b in form.graph.edges:
+    for a, b in edge_pairs(form.graph):
         d = float(values[a]) - float(values[b])
         total += d * d
     return form.renormalization * total

@@ -137,7 +137,8 @@ def test_criterion_3_harmonic_extension():
                     w1 = energy(fine_form, harmonic_extend(form, u))
                     assert abs(w1 - w0) <= 1e-12 * max(1.0, w0)
         ext = harmonic_function(build_level(3, 1), [1.0, 0.0, 0.0])
-        by_weights = {v.weights: ext.values[i] for i, v in enumerate(ext.graph.vertices)}
+        labels = (tuple(row) for row in ext.graph.weights.tolist())
+        by_weights = dict(zip(labels, ext.values))
         assert abs(by_weights[(1, 1, 0)] - 0.4) <= 1e-12
         assert abs(by_weights[(1, 0, 1)] - 0.4) <= 1e-12
         assert abs(by_weights[(0, 1, 1)] - 0.2) <= 1e-12

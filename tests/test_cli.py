@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -85,6 +86,38 @@ def test_gasket_over_memory_budget_is_usage_error(tmp_path, capsys):
     assert run_cli(["gasket", "--n", 20, "--m", 5, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: level 5 of the 20-point gasket")
     assert not (tmp_path / "x").exists()
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the gasket and extend exports; changing these bytes must be deliberate
+EXPORT_DIGESTS = {
+    "gasket": {
+        "graph.json": "bb61d8bf503495cc99c5404667a9739f2a0c55d640abe4862f551c3bfca045af",
+        "coordinates.csv": "2a0a0cd8ce1a0ab292ab2deb75556ed5defd762e801706b057cefd40380faff7",
+        "masses.csv": "53a4e6646c70079dab318216570c1c62fbb1f7e054a7fbabd9124d7223a3a81b",
+    },
+    "extend": {
+        "extension.csv": "459a86bfdc7170d733a029b6f0c3272961dde78cf254a64f68a23209c2fe2d27",
+        "profile.csv": "657cd885c49364c330cb566c289301d6f4e1c54cd588e98b57d28c6f3cc1715c",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gasket", "--n", 3, "--m", 3, "--weights", "0.5,0.3,0.2"],
+        ["extend", "--n", 4, "--m", 3, "--boundary", "1,0,0,3e-5"],
+    ],
+    ids=["gasket", "extend"],
+)
+def test_export_bytes_are_pinned(tmp_path, args):
+    assert run_cli(args + ["--out", tmp_path]) == 0
+    digests = {name: sha256(tmp_path / name) for name in EXPORT_DIGESTS[args[0]]}
+    assert digests == EXPORT_DIGESTS[args[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +276,49 @@ def test_poisson_bad_tol_is_usage_error(tmp_path, capsys, flag, config_tol):
     assert not out.exists()
 
 
+POISSON_ABS = {
+    "N": 3,
+    "m": 2,
+    "spec": [{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
+    "f": {"kind": "random", "seed": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("evolve", "weight", [0.5, 0.3, 0.2]),
+        ("evolve", "f", {"kind": "random", "seed": 1}),
+        ("poisson", "max_inner_iters", 1),
+        ("poisson", "tau", 0.1),
+        ("poisson", "u0", {"kind": "random", "seed": 1}),
+    ],
+)
+def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key, value):
+    if command == "evolve":
+        doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    else:
+        doc = dict(POISSON_ABS)
+    doc[key] = value
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unknown key {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("zero_boundary", "no"), ("zero_mean", 1), ("zero_boundary", None)]
+)
+def test_poisson_source_flags_must_be_booleans(tmp_path, capsys, key, value):
+    doc = dict(POISSON_ABS, f={"kind": "random", "seed": 0, key: value})
+    out = tmp_path / "x"
+    assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"f.{key} must be true or false" in err
+    assert not out.exists()
+
+
 def test_evolve_missing_key(tmp_path):
     doc = dict(BASE_EVOLVE)
     del doc["tau"]
@@ -315,6 +391,15 @@ def test_poisson_quadratic_boundary_residuals(tmp_path):
     assert all(abs(r) <= 1e-6 for r in report["boundary_residuals"])
 
 
+def test_poisson_incompatible_neumann_source_is_usage_error(tmp_path, capsys):
+    doc = {"N": 3, "m": 2, "spec": ["neumann"] * 3, "f": {"kind": "random", "seed": 1}}
+    out = tmp_path / "x"
+    assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pure Neumann problem needs a mu-mean-zero source")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -379,6 +464,17 @@ def test_verify_bad_flags_are_usage_errors(tmp_path, capsys, suite, flag, value)
     assert run_cli(["verify", "--suite", suite, flag, value, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples, expected", [(None, 3), (2, 2)])
+def test_verify_manifest_records_sample_count(tmp_path, samples, expected):
+    out = tmp_path / "v"
+    args = ["verify", "--suite", "flow", "--out", out]
+    if samples is not None:
+        args += ["--samples", samples]
+    assert run_cli(args) == 0
+    manifest = json.loads(read(out / "manifest.json"))
+    assert manifest["config"] == {"suite": "flow", "samples": expected}
 
 
 def test_verify_unknown_suite(tmp_path):

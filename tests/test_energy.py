@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from gasketflow import (
 )
 from gasketflow.energy import _extension_matrix, _midpoint_pairs
 
-from oracles import energy_reference, min_energy_extension
+from oracles import energy_reference, min_energy_extension, vertex_labels
 
 
 def _form(n, m):
@@ -163,7 +165,7 @@ def test_midpoint_rule_regression():
     # corner data (1, 0, 0): adjacent midpoints 0.4, opposite midpoint 0.2
     u = harmonic_function(build_level(3, 1), [1.0, 0.0, 0.0])
     g = u.graph
-    values = {v.weights: u.values[i] for i, v in enumerate(g.vertices)}
+    values = dict(zip(vertex_labels(g), u.values))
     assert values[(2, 0, 0)] == pytest.approx(1.0, abs=1e-15)
     assert values[(1, 1, 0)] == pytest.approx(0.4, abs=1e-12)
     assert values[(1, 0, 1)] == pytest.approx(0.4, abs=1e-12)
@@ -315,7 +317,8 @@ def _subtree_split_function(g, seed):
     """Positive on the first corner subtree, negative on the second."""
     rng = np.random.default_rng(seed)
     owners = [set() for _ in range(g.vertex_count)]
-    for word, cell in zip(g.cell_words, g.cells):
+    words = itertools.product(range(g.n), repeat=g.level)
+    for word, cell in zip(words, g.cell_corners.tolist()):
         for v in cell:
             owners[v].add(word[0])
     vals = np.zeros(g.vertex_count)

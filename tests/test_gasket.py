@@ -10,16 +10,14 @@ from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
     ResourceLimitError,
-    VertexAddress,
     VertexFunction,
     build_level,
-    embed,
     restrict,
     simplex_vertices,
     vertex_coordinates,
 )
 
-from oracles import address_points, brute_force_points
+from oracles import address_points, brute_force_points, edge_pairs, vertex_labels
 
 
 @pytest.mark.parametrize(
@@ -29,17 +27,18 @@ from oracles import address_points, brute_force_points
 def test_counts_n3(m, verts, cells, edges):
     g = build_level(3, m)
     assert g.vertex_count == verts
-    assert len(g.cells) == cells
-    assert len(g.edges) == edges
+    assert len(g.cell_corners) == cells
+    assert len(edge_pairs(g)) == edges
     # closed form for n=3: (3^(m+1) + 3) / 2 vertices, 3^(m+1) edges
     assert g.vertex_count == (3 ** (m + 1) + 3) // 2
-    assert len(g.edges) == 3 ** (m + 1)
+    assert len(edge_pairs(g)) == 3 ** (m + 1)
 
 
 def test_level0_boundary_is_everything():
     g = build_level(3, 0)
     assert sorted(g.boundary) == [0, 1, 2]
-    assert g.cells == ((2, 1, 0),) or set(g.cells[0]) == {0, 1, 2}
+    cells = [tuple(c) for c in g.cell_corners.tolist()]
+    assert cells == [(2, 1, 0)] or set(cells[0]) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2), (2, 5)])
@@ -47,46 +46,49 @@ def test_vertices_match_contraction_enumeration(n, m):
     points, cells, edges = brute_force_points(n, m)
     g = build_level(n, m)
     assert address_points(g) == points
-    assert len(g.cells) == len(cells)
-    assert len(g.edges) == len(edges)
+    assert len(g.cell_corners) == len(cells)
+    assert len(edge_pairs(g)) == len(edges)
 
 
 @pytest.mark.parametrize("n, m", [(3, 4), (3, 5), (4, 3), (4, 4), (4, 5), (2, 6)])
 def test_no_duplicate_addresses(n, m):
     g = build_level(n, m)
-    keys = {v.weights for v in g.vertices}
+    labels = vertex_labels(g)
+    keys = set(labels)
     assert len(keys) == g.vertex_count
     # corner collection is exactly the vertex set
-    collected = {g.vertices[i].weights for cell in g.cells for i in cell}
+    collected = {labels[i] for cell in g.cell_corners.tolist() for i in cell}
     assert collected == keys
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_nested_levels(n):
     for m in range(4):
-        coarse = build_level(n, m)
-        fine = build_level(n, m + 1)
-        for v in coarse.vertices:
-            fine.index_of(v.rescaled(m + 1))  # raises if missing
+        fine_labels = set(vertex_labels(build_level(n, m + 1)))
+        for weights in vertex_labels(build_level(n, m)):
+            assert tuple(2 * w for w in weights) in fine_labels
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cell_tree_index_maps_match_weights(n):
     # the index maps come from cell-tree arithmetic; check them on the weights
     for m in range(3):
-        coarse, fine = build_level(n, m), build_level(n, m + 1)
+        coarse = build_level(n, m)
+        coarse_labels = vertex_labels(coarse)
+        fine_labels = vertex_labels(build_level(n, m + 1))
         _, corner_idx, mid_idx = _extension_indices(n, m)
-        assert tuple(map(tuple, corner_idx.tolist())) == coarse.cells
-        for cell, mids in zip(coarse.cells, mid_idx.tolist()):
+        cells = coarse.cell_corners.tolist()
+        assert corner_idx.tolist() == cells
+        for cell, mids in zip(cells, mid_idx.tolist()):
             for (i, j), mid in zip(_midpoint_pairs(n), mids):
-                wi, wj = coarse.vertices[cell[i]].weights, coarse.vertices[cell[j]].weights
-                assert fine.vertices[mid].weights == tuple(a + b for a, b in zip(wi, wj))
+                wi, wj = coarse_labels[cell[i]], coarse_labels[cell[j]]
+                assert fine_labels[mid] == tuple(a + b for a, b in zip(wi, wj))
         for big in range(m, m + 3):
             idx = _restriction_indices(n, m, big)
-            big_vertices = build_level(n, big).vertices
-            for v, k in zip(coarse.vertices, idx.tolist()):
-                scaled = tuple(w * 2 ** (big - m) for w in v.weights)
-                assert big_vertices[k].weights == scaled
+            big_labels = vertex_labels(build_level(n, big))
+            for weights, k in zip(coarse_labels, idx.tolist()):
+                scaled = tuple(w * 2 ** (big - m) for w in weights)
+                assert big_labels[k] == scaled
 
 
 @pytest.mark.parametrize("n, mmax", [(3, 8), (4, 5), (5, 4), (2, 10)])
@@ -111,7 +113,7 @@ def test_cell_incidence_counts(n, mmax):
     for m in range(1, mmax + 1):
         g = build_level(n, m)
         incidence = [0] * g.vertex_count
-        for cell in g.cells:
+        for cell in g.cell_corners.tolist():
             for v in cell:
                 incidence[v] += 1
         for i, count in enumerate(incidence):
@@ -120,17 +122,17 @@ def test_cell_incidence_counts(n, mmax):
 
 
 def test_edges_sorted_irreflexive():
-    g = build_level(3, 3)
-    for a, b in g.edges:
+    edges = edge_pairs(build_level(3, 3))
+    for a, b in edges:
         assert a < b
-    assert len(set(g.edges)) == len(g.edges)
+    assert len(set(edges)) == len(edges)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_edge_lengths(m):
     g = build_level(3, m)
     coords = vertex_coordinates(g)
-    for a, b in g.edges:
+    for a, b in edge_pairs(g):
         assert np.linalg.norm(coords[a] - coords[b]) == pytest.approx(
             0.5**m, abs=1e-12
         )
@@ -138,7 +140,7 @@ def test_edge_lengths(m):
 
 def test_vertex_order_is_lexicographic():
     g = build_level(3, 2)
-    keys = [v.weights for v in g.vertices]
+    keys = vertex_labels(g)
     assert keys == sorted(keys)
 
 
@@ -153,13 +155,17 @@ def test_simplex_has_unit_edges(n):
 
 
 def test_embed_corners_and_midpoint():
-    # corner addresses map to the simplex points exactly
+    # corner vertices map to the simplex points exactly
     pts = simplex_vertices(3)
+    g = build_level(3, 2)
+    coords, labels = vertex_coordinates(g), vertex_labels(g)
     for i in range(3):
         weights = tuple(4 if j == i else 0 for j in range(3))
-        np.testing.assert_allclose(embed(VertexAddress(2, weights)), pts[i])
+        np.testing.assert_allclose(coords[labels.index(weights)], pts[i])
     # n = 2 is the unit interval: the level-1 midpoint sits at 1/2
-    assert embed(VertexAddress(1, (1, 1)))[0] == pytest.approx(0.5)
+    g = build_level(2, 1)
+    midpoint = vertex_coordinates(g)[vertex_labels(g).index((1, 1))]
+    assert midpoint[0] == pytest.approx(0.5)
 
 
 def test_restrict_constant_and_indicator():
@@ -185,17 +191,16 @@ def test_restrict_matches_rescaling_oracle():
     down = restrict(u, 1)
     g1 = build_level(3, 1)
     assert down.graph == g1
-    for i, v in enumerate(g1.vertices):
-        doubled = tuple(2 * w for w in v.weights)
-        j = next(
-            k for k, vv in enumerate(g2.vertices) if vv.weights == doubled
-        )
+    labels1, labels2 = vertex_labels(g1), vertex_labels(g2)
+    for i, weights in enumerate(labels1):
+        doubled = tuple(2 * w for w in weights)
+        j = next(k for k, fine in enumerate(labels2) if fine == doubled)
         assert down.values[i] == u.values[j]
     # the surviving addresses are exactly those with even weights
-    survivors = {v.rescaled(2).weights for v in g1.vertices}
-    for v in g2.vertices:
-        even = all(w % 2 == 0 for w in v.weights)
-        assert (v.weights in survivors) == even
+    survivors = {tuple(2 * w for w in weights) for weights in labels1}
+    for weights in labels2:
+        even = all(w % 2 == 0 for w in weights)
+        assert (weights in survivors) == even
 
 
 def test_restrict_rejects_finer_target():
@@ -203,15 +208,6 @@ def test_restrict_rejects_finer_target():
     u = VertexFunction(g1, np.zeros(g1.vertex_count))
     with pytest.raises(DomainMismatchError):
         restrict(u, 2)
-
-
-def test_address_validation():
-    with pytest.raises(ValueError):
-        VertexAddress(1, (1, 2))  # sum != 2
-    with pytest.raises(ValueError):
-        VertexAddress(0, (1, -1, 1))
-    with pytest.raises(ValueError):
-        VertexAddress(-1, (1, 0))
 
 
 def test_build_level_argument_errors():
@@ -258,12 +254,6 @@ def test_vertex_function_validation():
         u.values[0] = 1.0  # read-only
 
 
-def test_index_of_rejects_wrong_n():
-    g = build_level(3, 1)
-    with pytest.raises(DomainMismatchError):
-        g.index_of(VertexAddress(1, (1, 1)))
-
-
 def test_json_export_schema():
     g = build_level(3, 1)
     d = g.to_json_dict()
@@ -271,4 +261,4 @@ def test_json_export_schema():
     assert d["N"] == 3 and d["m"] == 1
     assert len(d["vertices"]) == 6
     assert all(len(c) == 3 for c in d["cells"])
-    assert sorted(map(tuple, d["edges"])) == list(g.edges)
+    assert sorted(map(tuple, d["edges"])) == edge_pairs(g)
