@@ -19,7 +19,6 @@ from .errors import (
     DomainMismatchError,
     GasketflowError,
     ResourceLimitError,
-    UnsupportedOperationError,
 )
 from .flow import (
     FlowConfig,
@@ -35,7 +34,6 @@ from .gasket import (
     GasketGraph,
     VertexFunction,
     build_level,
-    constant_function,
     restrict,
     simplex_vertices,
     vertex_coordinates,

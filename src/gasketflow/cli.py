@@ -164,24 +164,37 @@ def _parse_problem(cfg: dict, where: str):
     return graph, EnergyForm(graph), vertex_measure(graph, weights), spec
 
 
-def _parse_vertex_data(obj, graph, where: str, seed_override=None) -> VertexFunction:
+#: keys each vertex-data kind reads
+_VERTEX_DATA_KEYS = {
+    "values": {"kind", "data"},
+    "harmonic": {"kind", "boundary"},
+    "random": {"kind", "seed"},
+}
+
+
+def _parse_vertex_data(
+    obj, graph, where: str, seed_override=None, extra_keys=frozenset()
+) -> tuple[VertexFunction, int | None]:
+    """The function an evolve ``u0`` or poisson ``f`` object describes, and
+    the seed drawn for it (None unless its kind is random)."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _VERTEX_DATA_KEYS:
+        raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
+    _reject_unknown_keys(obj, _VERTEX_DATA_KEYS[kind] | extra_keys, where)
     if kind == "values":
         data = _numbers(_require(obj, "data", where), f"{where}.data", graph.vertex_count)
-        return VertexFunction(graph, data)
+        return VertexFunction(graph, data), None
     if kind == "harmonic":
         boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", graph.n)
-        return harmonic_function(graph, boundary)
-    if kind == "random":
-        seed = seed_override if seed_override is not None else obj.get("seed", 0)
-        if _integer(seed, f"{where}.seed") < 0:
-            raise ConfigError(f"{where}.seed must be >= 0, got {seed}")
-        # PCG64 via numpy default_rng; uniform on [-1, 1)
-        rng = np.random.default_rng(seed)
-        return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count))
-    raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
+        return harmonic_function(graph, boundary), None
+    seed = seed_override if seed_override is not None else obj.get("seed", 0)
+    if _integer(seed, f"{where}.seed") < 0:
+        raise ConfigError(f"{where}.seed must be >= 0, got {seed}")
+    # PCG64 via numpy default_rng; uniform on [-1, 1)
+    rng = np.random.default_rng(seed)
+    return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count)), seed
 
 
 def _numbers_flag(raw: str, flag: str, count: int) -> np.ndarray:
@@ -288,13 +301,12 @@ def cmd_evolve(args) -> int:
         flow_cfg.n_steps
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
-    u0 = _parse_vertex_data(
+    u0, seed = _parse_vertex_data(
         _require(cfg, "u0", args.config), graph, f"{args.config}:u0", args.seed
     )
     trajectory = evolve(form, measure, spec, u0, flow_cfg)
     header, rows = _trajectory_csv(trajectory)
     _write_csv(out / "trajectory.csv", header, rows)
-    seed = args.seed if args.seed is not None else cfg.get("u0", {}).get("seed")
     _write_manifest(
         out, "evolve", cfg, seed, {"trajectory": out / "trajectory.csv"}, started
     )
@@ -309,7 +321,9 @@ def cmd_poisson(args) -> int:
     graph, form, measure, spec = _parse_problem(cfg, args.config)
     tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
     f_cfg = _require(cfg, "f", args.config)
-    f = _parse_vertex_data(f_cfg, graph, f"{args.config}:f", args.seed)
+    f, seed = _parse_vertex_data(
+        f_cfg, graph, f"{args.config}:f", args.seed, {"zero_boundary", "zero_mean"}
+    )
     zero_boundary = _boolean(f_cfg.get("zero_boundary", False), f"{args.config}:f.zero_boundary")
     zero_mean = _boolean(f_cfg.get("zero_mean", False), f"{args.config}:f.zero_mean")
     if zero_boundary:
@@ -326,7 +340,6 @@ def cmd_poisson(args) -> int:
         ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
     )
     _write_json(out / "report.json", report.to_dict())
-    seed = args.seed if args.seed is not None else f_cfg.get("seed")
     _write_manifest(
         out,
         "poisson",

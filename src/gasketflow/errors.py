@@ -13,10 +13,6 @@ class ResourceLimitError(GasketflowError):
     """Requested construction exceeds the configured size limit."""
 
 
-class UnsupportedOperationError(GasketflowError):
-    """Operation needs structure the operand lacks (e.g. convexity)."""
-
-
 class ConvergenceError(GasketflowError):
     """Inner solver failed to reach the requested tolerance.
 

@@ -31,12 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainMismatchError,
-    UnsupportedOperationError,
-)
+from .errors import ConfigError, ConvergenceError, DomainMismatchError
 from .energy import EnergyForm, stiffness_matrix
 from .gasket import GasketGraph, VertexFunction
 from .measure import VertexMeasure, l2_norm, mean
@@ -147,7 +142,7 @@ def _solve_boundary_inclusion(
             for k, i in enumerate(free):
                 if isinstance(functionals[i], Quadratic):
                     mat[k, k] += functionals[i].beta
-            if gauge_free and not pinned and all(isinstance(b, Zero) for b in functionals):
+            if gauge_free:
                 mat = mat + np.ones_like(mat)
             v[free] = np.linalg.solve(mat, c[free])
         return v, 1
@@ -226,10 +221,6 @@ def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) ->
         raise DomainMismatchError("measure and form live on different graphs")
     if spec.n != form.graph.n:
         raise DomainMismatchError("spec length does not match the graph")
-    if not spec.convex:
-        raise UnsupportedOperationError(
-            "the implicit flow requires convex boundary functionals"
-        )
 
 
 def backward_euler_step(

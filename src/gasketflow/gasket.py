@@ -159,13 +159,6 @@ class VertexFunction:
     def __repr__(self) -> str:
         return f"VertexFunction(n={self.graph.n}, level={self.graph.level})"
 
-    def boundary_values(self) -> np.ndarray:
-        return self.values[list(self.graph.boundary)]
-
-
-def constant_function(graph: GasketGraph, value: float) -> VertexFunction:
-    return VertexFunction(graph, np.full(graph.vertex_count, float(value)))
-
 
 @functools.lru_cache(maxsize=None)
 def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, UnsupportedOperationError
+from .errors import DomainMismatchError
 from .energy import EnergyForm, _check_graph, batch_energy
 from .gasket import VertexFunction
 
@@ -36,24 +36,16 @@ def _floats(s) -> np.ndarray:
 
 
 class BoundaryFunctional:
-    """Base interface; subclasses are immutable value types."""
+    """Base interface; subclasses are immutable, convex value types."""
 
     kind = "abstract"
-
-    @property
-    def convex(self) -> bool:
-        return True
 
     def __call__(self, s):
         """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
         raise NotImplementedError
 
     def prox(self, lam: float, s: float) -> float:
-        """Unique minimizer of B(t) + (t - s)^2 / (2 lam) for convex B."""
-        if not self.convex:
-            raise UnsupportedOperationError(
-                f"proximal map needs a convex functional, {self.kind} is not"
-            )
+        """Unique minimizer of B(t) + (t - s)^2 / (2 lam)."""
         if not 0.0 < lam < INF:
             raise ValueError(f"lam must be finite and positive, got {lam}")
         return self._prox(float(lam), float(s))
@@ -412,10 +404,6 @@ class RobinSpec:
     @property
     def n(self) -> int:
         return len(self.functionals)
-
-    @property
-    def convex(self) -> bool:
-        return all(b.convex for b in self.functionals)
 
     def __iter__(self):
         return iter(self.functionals)

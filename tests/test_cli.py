@@ -292,6 +292,13 @@ POISSON_ABS = {
         ("poisson", "max_inner_iters", 1),
         ("poisson", "tau", 0.1),
         ("poisson", "u0", {"kind": "random", "seed": 1}),
+        # "outer.key": the value replaces the outer object, whose kind does not read key
+        ("evolve", "u0.seed", {"kind": "harmonic", "boundary": [1.0, -0.5, 0.25], "seed": 4}),
+        ("evolve", "u0.zero_mean", {"kind": "harmonic", "boundary": [1.0, -0.5, 0.25], "zero_mean": True}),
+        ("evolve", "u0.boundary", {"kind": "random", "seed": 1, "boundary": [1.0, 0.0, 0.0]}),
+        ("evolve", "u0.seed", {"kind": "values", "data": [0.0] * 15, "seed": 3}),
+        ("poisson", "f.seed", {"kind": "harmonic", "boundary": [1.0, 0.0, 0.0], "seed": 2, "zero_mean": True}),
+        ("poisson", "f.data", {"kind": "random", "seed": 0, "data": [0.0] * 15}),
     ],
 )
 def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key, value):
@@ -299,12 +306,34 @@ def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key, value)
         doc = json.loads(read(DATA / "mixed_robin_config.json"))
     else:
         doc = dict(POISSON_ABS)
-    doc[key] = value
+    outer, _, key = key.rpartition(".")
+    doc[outer or key] = value
     out = tmp_path / "x"
     assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"unknown key {key!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "u0, flag, expected",
+    [
+        ({"kind": "random"}, None, 0),
+        ({"kind": "random", "seed": 11}, None, 11),
+        ({"kind": "random", "seed": 11}, 5, 5),
+        ({"kind": "harmonic", "boundary": [1.0, -0.5, 0.25]}, 5, None),
+    ],
+    ids=["random-default", "random-config", "random-flag", "harmonic-flag"],
+)
+def test_manifest_records_drawn_seed(tmp_path, u0, flag, expected):
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc["u0"] = u0
+    out = tmp_path / "x"
+    args = ["evolve", "--config", write_config(tmp_path, doc), "--out", out]
+    if flag is not None:
+        args += ["--seed", flag]
+    assert run_cli(args) == 0
+    assert json.loads(read(out / "manifest.json"))["seed"] == expected
 
 
 @pytest.mark.parametrize(

@@ -224,7 +224,7 @@ def test_harmonic_function_energy_constant_in_level():
 # profiles and monotonicity
 
 
-def test_profile_constant_function_is_zero():
+def test_profile_of_constant_is_zero():
     g = build_level(3, 3)
     u = VertexFunction(g, np.full(g.vertex_count, 4.0))
     assert energy_profile(u) == [0.0] * 4

@@ -17,7 +17,6 @@ from gasketflow import (
     Power,
     Quadratic,
     RobinSpec,
-    UnsupportedOperationError,
     VertexFunction,
     Zero,
     backward_euler_step,
@@ -30,6 +29,7 @@ from gasketflow import (
     normal_derivative,
     perturbed_energy,
     poisson_solve,
+    restrict,
     vertex_measure,
 )
 
@@ -130,19 +130,6 @@ def test_proximal_inequality():
                 2 * tau
             )
             assert lhs <= perturbed_energy(form, spec, u) + 1e-10
-
-
-def test_step_rejects_nonconvex():
-    class Nonconvex(Zero):
-        @property
-        def convex(self):
-            return False
-
-    g, form, measure = _setup()
-    u = _random(g, 0)
-    spec = RobinSpec((Nonconvex(), Zero(), Zero()))
-    with pytest.raises(UnsupportedOperationError):
-        backward_euler_step(form, measure, spec, u, tau=0.1)
 
 
 def test_step_domain_checks():
@@ -369,6 +356,29 @@ def test_first_order_consistency_richardson():
     num = np.linalg.norm(coarse - mid)
     den = np.linalg.norm(mid - fine)
     assert 1.5 <= num / den <= 3.0
+
+
+@pytest.mark.parametrize("n, top", [(3, 8), (4, 7)])
+def test_level_convergence_ratio(n, top):
+    """The level-m flows converge as m grows: on the level-2 vertices the
+    change from level m to m + 1 shrinks by N + 2 per level, the factor by
+    which the Laplacian's renormalization ((N + 2) / N)^m * N^m grows."""
+    specs = [
+        RobinSpec.uniform(Quadratic(1.0), n),
+        RobinSpec((AbsoluteValue(1.0), Zero()) + (DirichletIndicator(),) * (n - 2)),
+        RobinSpec.uniform(Power(1.0, 3.0), n),
+    ]
+    boundary = np.linspace(1.0, -0.5, n)
+    for spec in specs:
+        finals = []
+        for m in range(4, top + 1):
+            g, form, measure = _setup(n=n, m=m)
+            u0 = harmonic_function(g, boundary)
+            final = evolve(form, measure, spec, u0, FlowConfig(0.01, 0.1)).states[-1]
+            finals.append(restrict(final, 2).values)
+        deltas = [np.max(np.abs(b - a)) for a, b in zip(finals, finals[1:])]
+        ratios = [a / b for a, b in zip(deltas, deltas[1:])]
+        assert np.allclose(ratios, n + 2, rtol=0.02), (spec, ratios)
 
 
 def test_convergence_error_carries_partial_trajectory():

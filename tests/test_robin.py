@@ -15,7 +15,6 @@ from gasketflow import (
     Power,
     Quadratic,
     RobinSpec,
-    UnsupportedOperationError,
     VertexFunction,
     Zero,
     build_level,
@@ -228,16 +227,6 @@ def test_prox_rejects_bad_lam(b):
 def test_subdiff_distance_infeasible_point():
     assert DirichletIndicator().subdiff_distance(1.0, 0.0) == INF
     assert BoxIndicator(-1.0, 1.0).subdiff_distance(2.0, 0.0) == INF
-
-
-def test_nonconvex_kind_refused():
-    class Nonconvex(Zero):
-        @property
-        def convex(self):
-            return False
-
-    with pytest.raises(UnsupportedOperationError):
-        Nonconvex().prox(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,7 @@ def test_energy_inequality_equal_inputs_are_tight():
 
 def test_perturbed_criteria_clean():
     form = EnergyForm(build_level(3, 2))
-    reports = check_perturbed_criteria(
-        form, builtin_specs(3), SampleConfig(seed=2, sample_count=150)
-    )
+    reports = check_perturbed_criteria(form, SampleConfig(seed=2, sample_count=150))
     names = {r.property for r in reports}
     assert any(name.startswith("submodularity[") for name in names)
     assert any(name.startswith("positive_part[") for name in names)
