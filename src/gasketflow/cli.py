@@ -3,9 +3,14 @@
 Subcommands: gasket (build + export a graph), extend (harmonic extension
 dump), evolve (implicit flow trajectory), poisson (stationary Robin solve),
 verify (property-check suites).  Every command is a pure function of its
-configuration and seed: outputs are byte-reproducible, and each run writes
-a manifest echoing the configuration (wall-clock timings in the manifest
-are the only non-reproducible bytes).
+configuration and seed: outputs are byte-reproducible.  ``main`` owns the
+run protocol: it times the command and, once the outputs are written,
+writes ``manifest.json`` echoing the configuration, with a ``--tol``
+override recorded as ``config.tol`` (wall-clock timings in the manifest
+are the only non-reproducible bytes).  Invalid input exits 2 with an
+``error:`` message and writes nothing; that includes a config that is not
+UTF-8, a boolean where a spec parameter wants a number, and an ``--out``
+that cannot be a directory.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,25 +63,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config, seed, outputs: dict, started: float) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "seed": seed,
-        # paths are relative to the manifest so reruns compare bitwise
-        "outputs": {k: str(Path(v).relative_to(out_dir)) for k, v in outputs.items()},
-        "timings": {"wall_s": time.perf_counter() - started},
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+def _write_indexed(path: Path, header: list[str], values: list[float]) -> None:
+    """An ``index,value`` CSV of a list of floats."""
+    _write_csv(path, header, ([str(i), repr(v)] for i, v in enumerate(values)))
 
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
@@ -108,10 +106,12 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, minimum: int | None = None) -> int:
     # bool is an int subclass, and a JSON float such as 3.7 must not truncate
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
@@ -137,24 +137,30 @@ def _numbers(value, what: str, count: int) -> np.ndarray:
     return np.array([_number(x, f"{what} entry") for x in value])
 
 
+def _comma_list(raw: str, flag: str) -> list[float]:
+    """A comma-separated flag as the JSON list it stands for."""
+    try:
+        return [float(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
+def _weights(values, n: int, what: str) -> MeasureWeights:
+    """Uniform weights for ``None``, else the checked list of ``n``."""
+    if values is None:
+        return MeasureWeights.uniform(n)
+    try:
+        return MeasureWeights(tuple(_numbers(values, what, n)))
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _parse_problem(cfg: dict, where: str):
     """Common (graph, form, measure, spec) block of evolve/poisson configs."""
-    n = _integer(_require(cfg, "N", where), f"{where}: N")
-    m = _integer(_require(cfg, "m", where), f"{where}: m")
-    if n < 2:
-        raise ConfigError(f"{where}: N must be >= 2, got {n}")
-    if m < 0:
-        raise ConfigError(f"{where}: m must be >= 0, got {m}")
+    n = _integer(_require(cfg, "N", where), f"{where}: N", 2)
+    m = _integer(_require(cfg, "m", where), f"{where}: m", 0)
     graph = build_level(n, m)
-    weights_cfg = cfg.get("weights")
-    try:
-        weights = (
-            MeasureWeights.uniform(n)
-            if weights_cfg is None
-            else MeasureWeights(tuple(_numbers(weights_cfg, f"{where}: weights", n)))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad weights: {exc}") from exc
+    weights = _weights(cfg.get("weights"), n, f"{where}: weights")
     try:
         spec = RobinSpec.from_json(_require(cfg, "spec", where))
     except ValueError as exc:
@@ -162,6 +168,20 @@ def _parse_problem(cfg: dict, where: str):
     if spec.n != n:
         raise ConfigError(f"{where}: spec must have {n} entries, got {spec.n}")
     return graph, EnergyForm(graph), vertex_measure(graph, weights), spec
+
+
+def _load_problem(args, keys: set[str]):
+    """The evolve/poisson config, its tol and its problem block.
+
+    A ``--tol`` flag is written into the config, so the manifest echoes
+    the tolerance the solver used.
+    """
+    cfg = _load_config(args.config)
+    _reject_unknown_keys(cfg, keys, args.config)
+    if args.tol is not None:
+        cfg["tol"] = args.tol
+    tol = _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
+    return (cfg, tol, *_parse_problem(cfg, args.config))
 
 
 #: keys each vertex-data kind reads
@@ -190,37 +210,21 @@ def _parse_vertex_data(
         boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", graph.n)
         return harmonic_function(graph, boundary), None
     seed = seed_override if seed_override is not None else obj.get("seed", 0)
-    if _integer(seed, f"{where}.seed") < 0:
-        raise ConfigError(f"{where}.seed must be >= 0, got {seed}")
+    _integer(seed, f"{where}.seed", 0)
     # PCG64 via numpy default_rng; uniform on [-1, 1)
     rng = np.random.default_rng(seed)
     return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count)), seed
 
 
-def _numbers_flag(raw: str, flag: str, count: int) -> np.ndarray:
-    """A comma-separated flag, checked like the JSON list it stands for."""
-    try:
-        values = [float(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-    return _numbers(values, flag, count)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its outputs into ``out`` and returns
+# (config, seed, {output name: file name in out}, exit code) for the manifest
 
 
-def cmd_gasket(args) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
+def cmd_gasket(args, out: Path):
     graph = build_level(args.n, args.m)
-    if args.weights is None:
-        weights = MeasureWeights.uniform(args.n)
-    else:
-        try:
-            weights = MeasureWeights(tuple(_numbers_flag(args.weights, "--weights", args.n)))
-        except ValueError as exc:
-            raise ConfigError(f"--weights: {exc}") from exc
+    raw = None if args.weights is None else _comma_list(args.weights, "--weights")
+    weights = _weights(raw, args.n, "--weights")
     measure = vertex_measure(graph, weights)
 
     _write_json(out / "graph.json", graph.to_json_dict())
@@ -228,69 +232,24 @@ def cmd_gasket(args) -> int:
     header = ["index"] + [f"x_{k + 1}" for k in range(graph.n - 1)]
     rows = ([str(i), *map(repr, row)] for i, row in enumerate(coords.tolist()))
     _write_csv(out / "coordinates.csv", header, rows)
-    _write_csv(
-        out / "masses.csv",
-        ["index", "mass"],
-        ([str(i), repr(m)] for i, m in enumerate(measure.masses.tolist())),
-    )
+    _write_indexed(out / "masses.csv", ["index", "mass"], measure.masses.tolist())
     config = {"N": args.n, "m": args.m, "weights": list(weights.weights)}
-    _write_manifest(
-        out,
-        "gasket",
-        config,
-        None,
-        {"graph": out / "graph.json", "coordinates": out / "coordinates.csv", "masses": out / "masses.csv"},
-        started,
-    )
-    return 0
+    outputs = {"graph": "graph.json", "coordinates": "coordinates.csv", "masses": "masses.csv"}
+    return config, None, outputs, 0
 
 
-def cmd_extend(args) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    boundary = _numbers_flag(args.boundary, "--boundary", args.n).tolist()
-    graph = build_level(args.n, args.m)
-    u = harmonic_function(graph, boundary)
-    _write_csv(
-        out / "extension.csv",
-        ["vertex", "value"],
-        ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
-    )
-    profile = energy_profile(u)
-    _write_csv(
-        out / "profile.csv",
-        ["m", "energy"],
-        ([str(m), repr(w)] for m, w in enumerate(profile)),
-    )
+def cmd_extend(args, out: Path):
+    raw = _comma_list(args.boundary, "--boundary")
+    boundary = _numbers(raw, "--boundary", args.n).tolist()
+    u = harmonic_function(build_level(args.n, args.m), boundary)
+    _write_indexed(out / "extension.csv", ["vertex", "value"], u.values.tolist())
+    _write_indexed(out / "profile.csv", ["m", "energy"], energy_profile(u))
     config = {"N": args.n, "m": args.m, "boundary": boundary}
-    _write_manifest(
-        out,
-        "extend",
-        config,
-        None,
-        {"extension": out / "extension.csv", "profile": out / "profile.csv"},
-        started,
-    )
-    return 0
+    return config, None, {"extension": "extension.csv", "profile": "profile.csv"}, 0
 
 
-def _trajectory_csv(trajectory) -> tuple[list[str], Iterator[list[str]]]:
-    nv = trajectory.graph.vertex_count
-    header = ["time"] + [f"vertex_{i}" for i in range(nv)]
-    rows = (
-        [repr(t), *map(repr, state.values.tolist())]
-        for t, state in zip(trajectory.times.tolist(), trajectory.states)
-    )
-    return header, rows
-
-
-def cmd_evolve(args) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    cfg = _load_config(args.config)
-    _reject_unknown_keys(cfg, _EVOLVE_KEYS, args.config)
-    graph, form, measure, spec = _parse_problem(cfg, args.config)
-    tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
+def cmd_evolve(args, out: Path):
+    cfg, tol, graph, form, measure, spec = _load_problem(args, _EVOLVE_KEYS)
     try:
         flow_cfg = FlowConfig(
             tau=_number(_require(cfg, "tau", args.config), "tau"),
@@ -305,21 +264,17 @@ def cmd_evolve(args) -> int:
         _require(cfg, "u0", args.config), graph, f"{args.config}:u0", args.seed
     )
     trajectory = evolve(form, measure, spec, u0, flow_cfg)
-    header, rows = _trajectory_csv(trajectory)
-    _write_csv(out / "trajectory.csv", header, rows)
-    _write_manifest(
-        out, "evolve", cfg, seed, {"trajectory": out / "trajectory.csv"}, started
+    header = ["time"] + [f"vertex_{i}" for i in range(graph.vertex_count)]
+    rows = (
+        [repr(t), *map(repr, state.values.tolist())]
+        for t, state in zip(trajectory.times.tolist(), trajectory.states)
     )
-    return 0
+    _write_csv(out / "trajectory.csv", header, rows)
+    return cfg, seed, {"trajectory": "trajectory.csv"}, 0
 
 
-def cmd_poisson(args) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    cfg = _load_config(args.config)
-    _reject_unknown_keys(cfg, _POISSON_KEYS, args.config)
-    graph, form, measure, spec = _parse_problem(cfg, args.config)
-    tol = args.tol if args.tol is not None else _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
+def cmd_poisson(args, out: Path):
+    cfg, tol, graph, form, measure, spec = _load_problem(args, _POISSON_KEYS)
     f_cfg = _require(cfg, "f", args.config)
     f, seed = _parse_vertex_data(
         f_cfg, graph, f"{args.config}:f", args.seed, {"zero_boundary", "zero_mean"}
@@ -331,41 +286,19 @@ def cmd_poisson(args) -> int:
         vals[list(graph.boundary)] = 0.0
         f = VertexFunction(graph, vals)
     if zero_mean:
-        vals = f.values - float(np.sum(measure.masses * f.values))
-        f = VertexFunction(graph, vals)
+        f = VertexFunction(graph, f.values - float(np.sum(measure.masses * f.values)))
     u, report = poisson_solve(form, measure, spec, f, tol=tol)
-    _write_csv(
-        out / "solution.csv",
-        ["vertex", "value"],
-        ([str(i), repr(v)] for i, v in enumerate(u.values.tolist())),
-    )
+    _write_indexed(out / "solution.csv", ["vertex", "value"], u.values.tolist())
     _write_json(out / "report.json", report.to_dict())
-    _write_manifest(
-        out,
-        "poisson",
-        cfg,
-        seed,
-        {"solution": out / "solution.csv", "report": out / "report.json"},
-        started,
-    )
-    return 0
+    return cfg, seed, {"solution": "solution.csv", "report": "report.json"}, 0
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
+def cmd_verify(args, out: Path):
     samples = DEFAULT_SAMPLES[args.suite] if args.samples is None else args.samples
     result = run_suite(args.suite, seed=args.seed, sample_count=samples)
     _write_json(out / "report.json", result)
-    _write_manifest(
-        out,
-        "verify",
-        {"suite": args.suite, "samples": samples},
-        args.seed,
-        {"report": out / "report.json"},
-        started,
-    )
-    return 0 if result["violations"] == 0 else 1
+    config = {"suite": args.suite, "samples": samples}
+    return config, args.seed, {"report": "report.json"}, 0 if result["violations"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("evolve", help="run the implicit flow from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="override the random-u0 seed")
-    p.add_argument("--tol", type=float, help="override the solver tolerance")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("poisson", help="solve the stationary Robin problem")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="override the random-source seed")
-    p.add_argument("--tol", type=float, help="override the solver tolerance")
-    p.set_defaults(func=cmd_poisson)
+    for name, func, help_, data in (
+        ("evolve", cmd_evolve, "run the implicit flow from a JSON config", "u0"),
+        ("poisson", cmd_poisson, "solve the stationary Robin problem", "source"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, help=f"override the random-{data} seed")
+        p.add_argument("--tol", type=float, help="override the solver tolerance")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a property-check suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -426,12 +356,29 @@ def main(argv=None) -> int:
         parser.error("--n must be >= 2")
     if getattr(args, "m", None) is not None and args.m < 0:
         parser.error("--m must be >= 0")
+    started = time.perf_counter()
+    out = Path(args.out)
     try:
-        return args.func(args)
+        config, seed, outputs, code = args.func(args, out)
+        _write_json(out / "manifest.json", {
+            "command": args.command,
+            "version": __version__,
+            "config": config,
+            "seed": seed,
+            # paths are relative to the manifest so reruns compare bitwise
+            "outputs": outputs,
+            "timings": {"wall_s": time.perf_counter() - started},
+        })
+        return code
     # on these command paths a DomainMismatchError can only come from the
     # input, e.g. a pure Neumann poisson config whose source has nonzero mean
     except (ConfigError, ResourceLimitError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # configs are read (or refused) before any output is written, so this is
+    # an --out that cannot hold the outputs, e.g. an existing file
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc} (residual={exc.residual})", file=sys.stderr)

@@ -368,6 +368,12 @@ _KINDS = {
 }
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def functional_from_json(obj) -> BoundaryFunctional:
     """Parse one boundary functional from its JSON form.
 
@@ -382,6 +388,10 @@ def functional_from_json(obj) -> BoundaryFunctional:
     if cls is None:
         raise ValueError(f"unknown boundary functional kind {obj['kind']!r}")
     params = {k: v for k, v in obj.items() if k != "kind"}
+    for key, value in params.items():
+        # JSON true/false would pass as 1/0, also inside breakpoint pairs
+        if _holds_bool(value):
+            raise ValueError(f"{key}: a boolean is not a number, got {value!r}")
     if cls is PiecewiseLinearQuadratic:
         params.setdefault("breakpoints", ())  # a pure quadratic has none
     try:

@@ -82,6 +82,17 @@ def test_gasket_bad_weights_is_usage_error(tmp_path, weights):
     assert code == 2
 
 
+@pytest.mark.parametrize("below", [None, "sub"], ids=["file", "file-sub"])
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken if below is None else taken / below
+    assert run_cli(["gasket", "--n", 3, "--m", 1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert taken.read_text() == "keep\n"
+
+
 def test_gasket_over_memory_budget_is_usage_error(tmp_path, capsys):
     assert run_cli(["gasket", "--n", 20, "--m", 5, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: level 5 of the 20-point gasket")
@@ -235,16 +246,77 @@ def test_evolve_matches_golden_mixed_robin(tmp_path):
         ("u0", {"kind": "harmonic", "boundary": 5}),
         ("spec", [{"kind": "quadratic", "beta": float("nan")}, "neumann", "dirichlet"]),
         ("spec", [{"kind": "power", "beta": 1.0, "p": float("nan")}, "neumann", "dirichlet"]),
+        # no key: the value is the whole file, here bytes that are not UTF-8
+        (None, b'{"N": 3, \xff}'),
     ],
 )
 def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
-    doc = json.loads(read(DATA / "mixed_robin_config.json"))
-    doc[key] = value
-    cfg = write_config(tmp_path, doc)
+    if key is None:
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(value)
+    else:
+        doc = json.loads(read(DATA / "mixed_robin_config.json"))
+        doc[key] = value
+        cfg = write_config(tmp_path, doc)
     assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        {"kind": "quadratic", "beta": True},
+        {"kind": "box", "lower": False, "upper": True},
+        {"kind": "power", "beta": 1.0, "p": True},
+        {"kind": "plq", "kappa": 1.0, "breakpoints": [[True, 1.0]]},
+    ],
+    ids=["quadratic", "box", "power", "plq"],
+)
+def test_boolean_spec_parameter_is_usage_error(tmp_path, capsys, functional):
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc["spec"][0] = functional
+    out = tmp_path / "x"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad spec" in err and "boolean" in err
+    assert not out.exists()
+
+
+#: nonlinear problems whose outputs at tol 1e-3 differ from those at the default 1e-9
+RERUN_CONFIGS = {
+    "evolve": dict(
+        json.loads(read(DATA / "mixed_robin_config.json")),
+        spec=[{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
+    ),
+    "poisson": {
+        "N": 3,
+        "m": 2,
+        "spec": [
+            {"kind": "absolute_value", "beta": 0.1},
+            {"kind": "power", "beta": 1.0, "p": 1.5},
+            "neumann",
+        ],
+        "f": {"kind": "random", "seed": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("tol", [None, "1e-3"])
+@pytest.mark.parametrize(
+    "command, output", [("evolve", "trajectory.csv"), ("poisson", "solution.csv")]
+)
+def test_manifest_config_reruns_bitwise(tmp_path, command, output, tol):
+    first, second = tmp_path / "first", tmp_path / "second"
+    args = [command, "--config", write_config(tmp_path, RERUN_CONFIGS[command]), "--out", first]
+    if tol is not None:
+        args += ["--tol", tol]
+    assert run_cli(args) == 0
+    config = json.loads(read(first / "manifest.json"))["config"]
+    rerun = write_config(tmp_path, config, "rerun.json")
+    assert run_cli([command, "--config", rerun, "--out", second]) == 0
+    assert (first / output).read_bytes() == (second / output).read_bytes()
 
 
 def test_evolve_nan_tol_flag_is_usage_error(tmp_path, capsys):
