@@ -6,11 +6,13 @@ verify (property-check suites).  Every command is a pure function of its
 configuration and seed: outputs are byte-reproducible.  ``main`` owns the
 run protocol: it times the command and, once the outputs are written,
 writes ``manifest.json`` echoing the configuration, with a ``--tol``
-override recorded as ``config.tol`` (wall-clock timings in the manifest
-are the only non-reproducible bytes).  Invalid input exits 2 with an
-``error:`` message and writes nothing; that includes a config that is not
-UTF-8, a boolean where a spec parameter wants a number, and an ``--out``
-that cannot be a directory.
+override recorded as ``config.tol`` and the seed of a random ``u0`` / ``f``
+as its ``seed`` (wall-clock timings in the manifest are the only
+non-reproducible bytes).  Invalid input exits 2 with an ``error:`` message
+and writes nothing; that includes a config that is not UTF-8, a boolean
+where a spec parameter wants a number, and an ``--out`` that cannot be a
+directory.  Only the contents of ``u0`` / ``f`` are checked after the
+graph is built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -155,11 +158,20 @@ def _weights(values, n: int, what: str) -> MeasureWeights:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _parse_problem(cfg: dict, where: str):
-    """Common (graph, form, measure, spec) block of evolve/poisson configs."""
+def _load_problem(args, keys: set[str]):
+    """The evolve/poisson config and its tol, N, m, weights and spec.
+
+    A ``--tol`` flag is written into the config, so the manifest echoes
+    the tolerance the solver used.
+    """
+    where = args.config
+    cfg = _load_config(where)
+    _reject_unknown_keys(cfg, keys, where)
+    if args.tol is not None:
+        cfg["tol"] = args.tol
+    tol = _number(cfg.get("tol", 1e-9), f"{where}: tol")
     n = _integer(_require(cfg, "N", where), f"{where}: N", 2)
     m = _integer(_require(cfg, "m", where), f"{where}: m", 0)
-    graph = build_level(n, m)
     weights = _weights(cfg.get("weights"), n, f"{where}: weights")
     try:
         spec = RobinSpec.from_json(_require(cfg, "spec", where))
@@ -167,21 +179,7 @@ def _parse_problem(cfg: dict, where: str):
         raise ConfigError(f"{where}: bad spec: {exc}") from exc
     if spec.n != n:
         raise ConfigError(f"{where}: spec must have {n} entries, got {spec.n}")
-    return graph, EnergyForm(graph), vertex_measure(graph, weights), spec
-
-
-def _load_problem(args, keys: set[str]):
-    """The evolve/poisson config, its tol and its problem block.
-
-    A ``--tol`` flag is written into the config, so the manifest echoes
-    the tolerance the solver used.
-    """
-    cfg = _load_config(args.config)
-    _reject_unknown_keys(cfg, keys, args.config)
-    if args.tol is not None:
-        cfg["tol"] = args.tol
-    tol = _number(cfg.get("tol", 1e-9), f"{args.config}: tol")
-    return (cfg, tol, *_parse_problem(cfg, args.config))
+    return cfg, tol, n, m, weights, spec
 
 
 #: keys each vertex-data kind reads
@@ -193,24 +191,32 @@ _VERTEX_DATA_KEYS = {
 
 
 def _parse_vertex_data(
-    obj, graph, where: str, seed_override=None, extra_keys=frozenset()
+    obj, n: int, m: int, where: str, seed_override=None, flags=()
 ) -> tuple[VertexFunction, int | None]:
-    """The function an evolve ``u0`` or poisson ``f`` object describes, and
-    the seed drawn for it (None unless its kind is random)."""
+    """The function on the level-m graph that an evolve ``u0`` or poisson
+    ``f`` object describes, and the seed drawn for it (None unless its kind
+    is random), which is written into ``obj``.
+
+    ``flags`` are the boolean keys the object may carry besides its kind's.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _VERTEX_DATA_KEYS:
         raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
-    _reject_unknown_keys(obj, _VERTEX_DATA_KEYS[kind] | extra_keys, where)
+    _reject_unknown_keys(obj, _VERTEX_DATA_KEYS[kind] | set(flags), where)
+    for key in flags:
+        _boolean(obj.get(key, False), f"{where}.{key}")
+    if kind == "random":
+        seed = seed_override if seed_override is not None else obj.get("seed", 0)
+        obj["seed"] = _integer(seed, f"{where}.seed", 0)
+    graph = build_level(n, m)
     if kind == "values":
         data = _numbers(_require(obj, "data", where), f"{where}.data", graph.vertex_count)
         return VertexFunction(graph, data), None
     if kind == "harmonic":
-        boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", graph.n)
+        boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", n)
         return harmonic_function(graph, boundary), None
-    seed = seed_override if seed_override is not None else obj.get("seed", 0)
-    _integer(seed, f"{where}.seed", 0)
     # PCG64 via numpy default_rng; uniform on [-1, 1)
     rng = np.random.default_rng(seed)
     return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count)), seed
@@ -249,7 +255,7 @@ def cmd_extend(args, out: Path):
 
 
 def cmd_evolve(args, out: Path):
-    cfg, tol, graph, form, measure, spec = _load_problem(args, _EVOLVE_KEYS)
+    cfg, tol, n, m, weights, spec = _load_problem(args, _EVOLVE_KEYS)
     try:
         flow_cfg = FlowConfig(
             tau=_number(_require(cfg, "tau", args.config), "tau"),
@@ -261,9 +267,10 @@ def cmd_evolve(args, out: Path):
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     u0, seed = _parse_vertex_data(
-        _require(cfg, "u0", args.config), graph, f"{args.config}:u0", args.seed
+        _require(cfg, "u0", args.config), n, m, f"{args.config}:u0", args.seed
     )
-    trajectory = evolve(form, measure, spec, u0, flow_cfg)
+    graph = u0.graph
+    trajectory = evolve(EnergyForm(graph), vertex_measure(graph, weights), spec, u0, flow_cfg)
     header = ["time"] + [f"vertex_{i}" for i in range(graph.vertex_count)]
     rows = (
         [repr(t), *map(repr, state.values.tolist())]
@@ -274,22 +281,22 @@ def cmd_evolve(args, out: Path):
 
 
 def cmd_poisson(args, out: Path):
-    cfg, tol, graph, form, measure, spec = _load_problem(args, _POISSON_KEYS)
+    cfg, tol, n, m, weights, spec = _load_problem(args, _POISSON_KEYS)
     f_cfg = _require(cfg, "f", args.config)
     f, seed = _parse_vertex_data(
-        f_cfg, graph, f"{args.config}:f", args.seed, {"zero_boundary", "zero_mean"}
+        f_cfg, n, m, f"{args.config}:f", args.seed, ("zero_boundary", "zero_mean")
     )
-    zero_boundary = _boolean(f_cfg.get("zero_boundary", False), f"{args.config}:f.zero_boundary")
-    zero_mean = _boolean(f_cfg.get("zero_mean", False), f"{args.config}:f.zero_mean")
-    if zero_boundary:
+    graph = f.graph
+    measure = vertex_measure(graph, weights)
+    if f_cfg.get("zero_boundary", False):
         vals = f.values.copy()
         vals[list(graph.boundary)] = 0.0
         f = VertexFunction(graph, vals)
-    if zero_mean:
+    if f_cfg.get("zero_mean", False):
         f = VertexFunction(graph, f.values - float(np.sum(measure.masses * f.values)))
-    u, report = poisson_solve(form, measure, spec, f, tol=tol)
+    u, report = poisson_solve(EnergyForm(graph), measure, spec, f, tol=tol)
     _write_indexed(out / "solution.csv", ["vertex", "value"], u.values.tolist())
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", asdict(report))
     return cfg, seed, {"solution": "solution.csv", "report": "report.json"}, 0
 
 

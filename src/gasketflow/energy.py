@@ -14,7 +14,6 @@ restrictions is nondecreasing in m.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,26 +99,14 @@ def _extension_matrix(n: int) -> np.ndarray:
     midpoint values; its stationarity conditions give the linear system
     assembled here.  The matrix is shared by every cell of every level.
     """
-    pairs = list(itertools.combinations(range(n), 2))
-    p = len(pairs)
-    a = np.zeros((p, p))
-    b = np.zeros((p, n))
-    for row, (i, j) in enumerate(pairs):
-        a[row, row] = 2 * (n - 1)
-        b[row, i] = 1.0
-        b[row, j] = 1.0
-        for col, (k, l) in enumerate(pairs):
-            if col == row:
-                continue
-            if len({i, j} & {k, l}) == 1:
-                a[row, col] = -1.0
+    first, second = np.triu_indices(n, 1)
+    b = np.eye(n)[first] + np.eye(n)[second]  # midpoint-corner incidence
+    # two midpoints are coupled iff their corner pairs share one corner
+    a = np.where(b @ b.T == 1, -1.0, 0.0)
+    np.fill_diagonal(a, 2 * (n - 1))
     solved = np.linalg.solve(a, b)
     solved.setflags(write=False)
     return solved
-
-
-def _midpoint_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,12 +115,12 @@ def _extension_indices(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns (copy_idx, corner_idx, mid_idx): fine indices of the coarse
     vertices, coarse corner indices per cell, and fine midpoint indices per
-    cell in the order of _midpoint_pairs.  The midpoint of corners i and j
-    of cell c is corner j of its child c * n + i.
+    cell in the pair order of np.triu_indices(n, 1).  The midpoint of
+    corners i and j of cell c is corner j of its child c * n + i.
     """
     corner_idx = build_level(n, m).cell_corners
     fine_corners = build_level(n, m + 1).cell_corners
-    first, second = np.array(_midpoint_pairs(n)).T
+    first, second = np.triu_indices(n, 1)
     mid_idx = fine_corners[np.arange(len(corner_idx))[:, None] * n + first, second]
     mid_idx.setflags(write=False)
     return _restriction_indices(n, m, m + 1), corner_idx, mid_idx

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -290,9 +290,6 @@ class PoissonReport:
     interior_residual: float
     compatibility: float | None = None
     gauged: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def poisson_solve(

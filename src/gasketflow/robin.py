@@ -38,8 +38,6 @@ def _floats(s) -> np.ndarray:
 class BoundaryFunctional:
     """Base interface; subclasses are immutable, convex value types."""
 
-    kind = "abstract"
-
     def __call__(self, s):
         """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
         raise NotImplementedError
@@ -65,19 +63,10 @@ class BoundaryFunctional:
         lo, hi = interval
         return max(0.0, lo - g, g - hi)
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
 
-    def __repr__(self) -> str:
-        params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.to_json_dict().items()) if k != "kind")
-        return f"{type(self).__name__}({params})"
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Zero(BoundaryFunctional):
     """No penalty; the Neumann case."""
-
-    kind = "zero"
 
     def __call__(self, s):
         return np.zeros_like(_floats(s))[()]
@@ -88,15 +77,10 @@ class Zero(BoundaryFunctional):
     def subdifferential(self, s):
         return (0.0, 0.0)
 
-    def to_json_dict(self):
-        return {"kind": "zero"}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class DirichletIndicator(BoundaryFunctional):
     """Indicator of {0}: zero at the origin, infinite elsewhere."""
-
-    kind = "dirichlet"
 
     def __call__(self, s):
         return np.where(_floats(s) == 0.0, 0.0, INF)[()]
@@ -107,17 +91,12 @@ class DirichletIndicator(BoundaryFunctional):
     def subdifferential(self, s):
         return (-INF, INF) if s == 0.0 else None
 
-    def to_json_dict(self):
-        return {"kind": "dirichlet"}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Quadratic(BoundaryFunctional):
     """B(s) = beta * s^2 / 2, the classical linear Robin damping."""
 
     beta: float
-
-    kind = "quadratic"
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -134,17 +113,12 @@ class Quadratic(BoundaryFunctional):
         g = self.beta * s
         return (g, g)
 
-    def to_json_dict(self):
-        return {"kind": "quadratic", "beta": self.beta}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class AbsoluteValue(BoundaryFunctional):
     """B(s) = beta * |s|; proximal map is the soft threshold."""
 
     beta: float
-
-    kind = "absolute_value"
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -168,11 +142,8 @@ class AbsoluteValue(BoundaryFunctional):
             return (-self.beta, -self.beta)
         return (-self.beta, self.beta)
 
-    def to_json_dict(self):
-        return {"kind": "absolute_value", "beta": self.beta}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Power(BoundaryFunctional):
     """B(s) = beta * |s|^p / p for p >= 1.
 
@@ -185,8 +156,6 @@ class Power(BoundaryFunctional):
 
     beta: float
     p: float
-
-    kind = "power"
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -242,18 +211,13 @@ class Power(BoundaryFunctional):
         g = self.beta * abs(s) ** (self.p - 1.0) * math.copysign(1.0, s)
         return (g, g)
 
-    def to_json_dict(self):
-        return {"kind": "power", "beta": self.beta, "p": self.p}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class BoxIndicator(BoundaryFunctional):
     """Indicator of [lower, upper] with lower <= 0 <= upper."""
 
     lower: float
     upper: float
-
-    kind = "box"
 
     def __post_init__(self):
         if not (self.lower <= 0.0 <= self.upper):
@@ -275,11 +239,8 @@ class BoxIndicator(BoundaryFunctional):
         hi = INF if s == self.upper else 0.0
         return (lo, hi)
 
-    def to_json_dict(self):
-        return {"kind": "box", "lower": self.lower, "upper": self.upper}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class PiecewiseLinearQuadratic(BoundaryFunctional):
     """B(s) = kappa*s^2/2 + sum_j w_j * max(|s| - d_j, 0).
 
@@ -288,9 +249,7 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
     """
 
     kappa: float
-    breakpoints: tuple[tuple[float, float], ...]
-
-    kind = "plq"
+    breakpoints: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
@@ -346,13 +305,6 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
                     hi += w
         return (lo, hi)
 
-    def to_json_dict(self):
-        return {
-            "kind": "plq",
-            "kappa": self.kappa,
-            "breakpoints": [[d, w] for d, w in self.breakpoints],
-        }
-
 
 _KINDS = {
     "zero": Zero,
@@ -392,12 +344,10 @@ def functional_from_json(obj) -> BoundaryFunctional:
         # JSON true/false would pass as 1/0, also inside breakpoint pairs
         if _holds_bool(value):
             raise ValueError(f"{key}: a boolean is not a number, got {value!r}")
-    if cls is PiecewiseLinearQuadratic:
-        params.setdefault("breakpoints", ())  # a pure quadratic has none
     try:
         return cls(**params)
     except TypeError as exc:
-        raise ValueError(f"bad parameters for kind {cls.kind!r}: {exc}") from exc
+        raise ValueError(f"bad parameters for kind {obj['kind']!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -414,12 +364,6 @@ class RobinSpec:
     @property
     def n(self) -> int:
         return len(self.functionals)
-
-    def __iter__(self):
-        return iter(self.functionals)
-
-    def __getitem__(self, i):
-        return self.functionals[i]
 
     @classmethod
     def neumann(cls, n: int) -> "RobinSpec":
@@ -438,9 +382,6 @@ class RobinSpec:
         if not isinstance(obj, (list, tuple)):
             raise ValueError("a Robin spec is a JSON list of boundary functionals")
         return cls(tuple(functional_from_json(x) for x in obj))
-
-    def to_json_list(self) -> list:
-        return [b.to_json_dict() for b in self.functionals]
 
 
 def perturbed_energy(form: EnergyForm, spec: RobinSpec, u: VertexFunction) -> float:

@@ -61,9 +61,6 @@ class CheckReport:
     max_slack: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 REL_TOL = 1e-12
 
@@ -404,9 +401,7 @@ def check_flow_properties(cfg: SampleConfig) -> list[CheckReport]:
             properties["sup_contraction"].append(float(np.max(np.diff(sup_d))))
             l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
             properties["l2_contraction"].append(float(np.max(np.diff(l2_d))))
-            energies = [
-                perturbed_energy(form, spec, VertexFunction(graph, row)) for row in su
-            ]
+            energies = batch_perturbed_energy(form, spec, su).tolist()
             decay = -INF
             for prev, nxt in zip(energies, energies[1:]):
                 if math.isfinite(prev):
@@ -477,6 +472,6 @@ def run_suite(name: str, seed: int = 0, sample_count: int | None = None) -> dict
     return {
         "suite": name,
         "seed": seed,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
         "violations": int(sum(r.violations for r in reports)),
     }

@@ -303,15 +303,20 @@ RERUN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("tol", [None, "1e-3"])
+#: the override flags of each rerun case, by test id
+RERUN_FLAGS = {"None": [], "1e-3": ["--tol", "1e-3"], "seed-5": ["--seed", "5"]}
+
+
+@pytest.mark.parametrize("flags", list(RERUN_FLAGS.values()), ids=list(RERUN_FLAGS))
 @pytest.mark.parametrize(
     "command, output", [("evolve", "trajectory.csv"), ("poisson", "solution.csv")]
 )
-def test_manifest_config_reruns_bitwise(tmp_path, command, output, tol):
+def test_manifest_config_reruns_bitwise(tmp_path, command, output, flags):
+    doc = RERUN_CONFIGS[command]
+    if "--seed" in flags and command == "evolve":  # the poisson source is random already
+        doc = dict(doc, u0={"kind": "random", "seed": 11})
     first, second = tmp_path / "first", tmp_path / "second"
-    args = [command, "--config", write_config(tmp_path, RERUN_CONFIGS[command]), "--out", first]
-    if tol is not None:
-        args += ["--tol", tol]
+    args = [command, "--config", write_config(tmp_path, doc), "--out", first, *flags]
     assert run_cli(args) == 0
     config = json.loads(read(first / "manifest.json"))["config"]
     rerun = write_config(tmp_path, config, "rerun.json")
@@ -405,7 +410,11 @@ def test_manifest_records_drawn_seed(tmp_path, u0, flag, expected):
     if flag is not None:
         args += ["--seed", flag]
     assert run_cli(args) == 0
-    assert json.loads(read(out / "manifest.json"))["seed"] == expected
+    manifest = json.loads(read(out / "manifest.json"))
+    assert manifest["seed"] == expected
+    # the echoed u0 carries the seed drawn; a harmonic one carries no seed
+    # key, which would make a rerun exit 2
+    assert manifest["config"]["u0"] == (u0 if expected is None else dict(u0, seed=expected))
 
 
 @pytest.mark.parametrize(
@@ -417,6 +426,30 @@ def test_poisson_source_flags_must_be_booleans(tmp_path, capsys, key, value):
     assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"f.{key} must be true or false" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("evolve", "spec", ["neumann", {"kind": "quadratic", "beta": -1.0}, "dirichlet"]),
+        ("evolve", "weights", [0.5, 0.5]),
+        ("evolve", "tau", 0.0),
+        ("evolve", "u0", None),
+        ("poisson", "f", {"kind": "random", "seed": 0, "zero_mean": "yes"}),
+    ],
+    ids=["bad-spec", "bad-weights", "bad-tau", "missing-u0", "non-boolean-zero-mean"],
+)
+def test_config_errors_come_before_the_graph_build(tmp_path, monkeypatch, command, key, value):
+    def build_level(n, m):
+        raise AssertionError("the graph was built before the config was checked")
+
+    monkeypatch.setattr(cli, "build_level", build_level)
+    doc = dict(BASE_EVOLVE if command == "evolve" else POISSON_ABS, **{key: value})
+    if value is None:
+        del doc[key]
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", write_config(tmp_path, doc), "--out", out]) == 2
     assert not out.exists()
 
 

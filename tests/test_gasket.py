@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gasketflow.gasket as gasket_mod
-from gasketflow.energy import _extension_indices, _midpoint_pairs
+from gasketflow.energy import _extension_indices
 from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
@@ -80,7 +80,7 @@ def test_cell_tree_index_maps_match_weights(n):
         cells = coarse.cell_corners.tolist()
         assert corner_idx.tolist() == cells
         for cell, mids in zip(cells, mid_idx.tolist()):
-            for (i, j), mid in zip(_midpoint_pairs(n), mids):
+            for (i, j), mid in zip(itertools.combinations(range(n), 2), mids):
                 wi, wj = coarse_labels[cell[i]], coarse_labels[cell[j]]
                 assert fine_labels[mid] == tuple(a + b for a, b in zip(wi, wj))
         for big in range(m, m + 3):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -126,12 +127,12 @@ def test_flow_properties_clean_small():
 def test_reports_are_reproducible():
     a = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
     b = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    assert [asdict(r) for r in a] == [asdict(r) for r in b]
 
 
 def test_report_schema():
     report = CheckReport("demo", 10, 0, -1.0, 3)
-    assert set(report.to_dict()) == {
+    assert set(asdict(report)) == {
         "property",
         "samples",
         "violations",
