@@ -21,6 +21,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .flow import (
+    Ensemble,
     FlowConfig,
     PoissonReport,
     StepDiagnostics,

@@ -12,7 +12,10 @@ non-reproducible bytes).  Invalid input exits 2 with an ``error:`` message
 and writes nothing; that includes a config that is not UTF-8, a boolean
 where a spec parameter wants a number, and an ``--out`` that cannot be a
 directory.  Only the contents of ``u0`` / ``f`` are checked after the
-graph is built.
+graph is built.  When an evolve step's boundary solve does not converge,
+the command writes the trajectory up to the step before, records the
+failing step, its residual and its sweep count under ``failure`` in the
+manifest, and exits 1.
 """
 
 from __future__ import annotations
@@ -223,8 +226,8 @@ def _parse_vertex_data(
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its outputs into ``out`` and returns
-# (config, seed, {output name: file name in out}, exit code) for the manifest
+# subcommands: each writes its outputs into ``out`` and returns its manifest
+# entries (config, seed, {output name: file name in out}) and its exit code
 
 
 def cmd_gasket(args, out: Path):
@@ -241,7 +244,7 @@ def cmd_gasket(args, out: Path):
     _write_indexed(out / "masses.csv", ["index", "mass"], measure.masses.tolist())
     config = {"N": args.n, "m": args.m, "weights": list(weights.weights)}
     outputs = {"graph": "graph.json", "coordinates": "coordinates.csv", "masses": "masses.csv"}
-    return config, None, outputs, 0
+    return {"config": config, "seed": None, "outputs": outputs}, 0
 
 
 def cmd_extend(args, out: Path):
@@ -251,7 +254,12 @@ def cmd_extend(args, out: Path):
     _write_indexed(out / "extension.csv", ["vertex", "value"], u.values.tolist())
     _write_indexed(out / "profile.csv", ["m", "energy"], energy_profile(u))
     config = {"N": args.n, "m": args.m, "boundary": boundary}
-    return config, None, {"extension": "extension.csv", "profile": "profile.csv"}, 0
+    outputs = {"extension": "extension.csv", "profile": "profile.csv"}
+    return {"config": config, "seed": None, "outputs": outputs}, 0
+
+
+def _report_failure(exc: ConvergenceError) -> None:
+    print(f"error: {exc} (residual={exc.residual})", file=sys.stderr)
 
 
 def cmd_evolve(args, out: Path):
@@ -270,14 +278,27 @@ def cmd_evolve(args, out: Path):
         _require(cfg, "u0", args.config), n, m, f"{args.config}:u0", args.seed
     )
     graph = u0.graph
-    trajectory = evolve(EnergyForm(graph), vertex_measure(graph, weights), spec, u0, flow_cfg)
+    try:
+        trajectory = evolve(EnergyForm(graph), vertex_measure(graph, weights), spec, u0, flow_cfg)
+        failure = None
+    except ConvergenceError as exc:
+        trajectory, failure = exc.partial, exc
     header = ["time"] + [f"vertex_{i}" for i in range(graph.vertex_count)]
     rows = (
         [repr(t), *map(repr, state.values.tolist())]
         for t, state in zip(trajectory.times.tolist(), trajectory.states)
     )
     _write_csv(out / "trajectory.csv", header, rows)
-    return cfg, seed, {"trajectory": "trajectory.csv"}, 0
+    manifest = {"config": cfg, "seed": seed, "outputs": {"trajectory": "trajectory.csv"}}
+    if failure is None:
+        return manifest, 0
+    _report_failure(failure)
+    manifest["failure"] = {
+        "step": len(trajectory.states),
+        "residual": failure.residual,
+        "iterations": failure.iterations,
+    }
+    return manifest, 1
 
 
 def cmd_poisson(args, out: Path):
@@ -297,7 +318,8 @@ def cmd_poisson(args, out: Path):
     u, report = poisson_solve(EnergyForm(graph), measure, spec, f, tol=tol)
     _write_indexed(out / "solution.csv", ["vertex", "value"], u.values.tolist())
     _write_json(out / "report.json", asdict(report))
-    return cfg, seed, {"solution": "solution.csv", "report": "report.json"}, 0
+    outputs = {"solution": "solution.csv", "report": "report.json"}
+    return {"config": cfg, "seed": seed, "outputs": outputs}, 0
 
 
 def cmd_verify(args, out: Path):
@@ -305,7 +327,8 @@ def cmd_verify(args, out: Path):
     result = run_suite(args.suite, seed=args.seed, sample_count=samples)
     _write_json(out / "report.json", result)
     config = {"suite": args.suite, "samples": samples}
-    return config, args.seed, {"report": "report.json"}, 0 if result["violations"] == 0 else 1
+    manifest = {"config": config, "seed": args.seed, "outputs": {"report": "report.json"}}
+    return manifest, 0 if result["violations"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +389,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     try:
-        config, seed, outputs, code = args.func(args, out)
+        # output paths are relative to the manifest so reruns compare bitwise
+        entries, code = args.func(args, out)
         _write_json(out / "manifest.json", {
             "command": args.command,
             "version": __version__,
-            "config": config,
-            "seed": seed,
-            # paths are relative to the manifest so reruns compare bitwise
-            "outputs": outputs,
+            **entries,
             "timings": {"wall_s": time.perf_counter() - started},
         })
         return code
@@ -388,7 +409,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"error: {exc} (residual={exc.residual})", file=sys.stderr)
+        _report_failure(exc)
         return 1
     except GasketflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,15 @@ nonsmooth penalties, solved by per-coordinate proximal sweeps.
 
 The boundary functionals enter only that last problem, so the interior of
 A = 2K + M/tau is factored once per (graph, measure, tau) and shared by
-every spec and trajectory on it.  ``poisson_solve`` runs the same
-operator code on K.
+every spec and trajectory on it.  The solver advances an ensemble: k
+trajectories of one spec as one (k, V) array, with one interior solve on
+the 2-D right side and the boundary sweeps run on all members at once.  A
+member stops sweeping when its own residual meets the tolerance, and every
+product over the N boundary coordinates is computed one member at a time
+by the same BLAS call, so a member's states and sweep counts equal those
+of the trajectory run alone.  ``evolve`` takes one state or a (k, V)
+array of them; ``backward_euler_step`` and ``poisson_solve`` are the
+k = 1 case, ``poisson_solve`` running the operator code on K.
 
 The iterates inherit, step by step and up to solver tolerance, the
 qualitative properties of the continuous flow: positivity, order
@@ -78,7 +85,9 @@ class FlowConfig:
 class StepDiagnostics:
     """``residual`` is the boundary KKT residual norm, the quantity the
     stopping test bounds; ``interior_residual`` is the norm of A v - rhs
-    on the interior rows, which the exact elimination leaves at roundoff."""
+    on the interior rows, which the exact elimination leaves at roundoff.
+    For an ensemble, ``iterations`` sums the members' boundary sweeps and
+    the residuals are the largest over the members."""
 
     iterations: int
     residual: float
@@ -98,18 +107,57 @@ class Trajectory:
         return np.stack([s.values for s in self.states])
 
 
+@dataclass
+class Ensemble:
+    """k evolutions of one spec: ``values[j, s]`` is member j at
+    ``times[s]``, a (k, steps + 1, V) array."""
+
+    graph: GasketGraph
+    times: np.ndarray
+    values: np.ndarray
+    diagnostics: list[StepDiagnostics]
+
+
 _LINEAR_KINDS = (Zero, Quadratic, DirichletIndicator)
 
 
-def _boundary_residual(
-    s_mat: np.ndarray, c: np.ndarray, functionals, v: np.ndarray
-) -> np.ndarray:
+def _rows(a) -> np.ndarray:
+    """A C-ordered float copy of the (k, n) ``a``.  numpy's matmul and
+    vecdot pick their BLAS call by the strides of their operands, those of
+    length-1 axes included, and a column selection ``x[:, idx]`` comes
+    out column-major; only on rows laid out like this does a member get
+    the products it would get alone."""
+    return np.array(a, dtype=np.float64, order="C")
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, by the dot product ``np.linalg.norm``
+    takes of one vector."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _groups(functionals) -> list:
+    """The distinct functionals of a spec, each with the boundary
+    coordinates it sits on, so that a residual evaluates each kind once."""
+    groups: dict = {}
+    for i, b in enumerate(functionals):
+        groups.setdefault(b, []).append(i)
+    # a run of coordinates is a slice: views, not copies
+    return [
+        (b, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx))
+        for b, idx in groups.items()
+    ]
+
+
+def _boundary_residual(s_mat: np.ndarray, c: np.ndarray, groups, v: np.ndarray) -> np.ndarray:
     """Per-coordinate distance from the negative smooth gradient to each
-    subdifferential; zero exactly at the solution."""
-    g = s_mat @ v - c
-    return np.array(
-        [b.subdiff_distance(v[i], -g[i]) for i, b in enumerate(functionals)]
-    )
+    subdifferential, one row per member; zero exactly at the solution."""
+    descent = c - (s_mat @ v[:, :, None])[:, :, 0]  # the negative smooth gradient
+    distance = np.empty_like(v)
+    for b, idx in groups:
+        distance[:, idx] = b.subdiff_distance(v[:, idx], descent[:, idx])
+    return distance
 
 
 def _solve_boundary_inclusion(
@@ -120,47 +168,59 @@ def _solve_boundary_inclusion(
     max_iters: int,
     v0: np.ndarray,
     gauge_free: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Solve 0 in S v - c + prod_i dB_i(v_i).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve 0 in S v - c + prod_i dB_i(v_i) for each row of ``c``; return
+    the solutions and the sweeps each took.
 
     Linear kinds (none / quadratic / pinned-to-zero) reduce to one dense
-    solve.  Otherwise the strictly convex objective
+    solve per member.  Otherwise the strictly convex objective
     G(v) = v.S v/2 - c.v + sum B_i(v_i) is minimized by cyclic exact
-    coordinate proximal steps, which never increase it.  The sweeps stop
-    when the norm of the boundary residual is <= tol; after ``max_iters``
-    sweeps a ConvergenceError is raised.  ``gauge_free`` marks the
-    all-Neumann singular case, where the constant direction is fixed by a
-    rank-one augmentation.
+    coordinate proximal steps, which never increase it.  A member's sweeps
+    stop when the norm of its boundary residual is <= tol; after
+    ``max_iters`` sweeps a ConvergenceError names the first member still
+    sweeping.  ``gauge_free`` marks the all-Neumann singular case, where
+    the constant direction is fixed by a rank-one augmentation.
     """
-    n = len(c)
+    k, n = c.shape
     if all(isinstance(b, _LINEAR_KINDS) for b in functionals):
         pinned = [i for i, b in enumerate(functionals) if isinstance(b, DirichletIndicator)]
         free = [i for i in range(n) if i not in pinned]
-        v = np.zeros(n)
+        v = np.zeros((k, n))
         if free:
             mat = s_mat[np.ix_(free, free)].copy()
-            for k, i in enumerate(free):
+            for j, i in enumerate(free):
                 if isinstance(functionals[i], Quadratic):
-                    mat[k, k] += functionals[i].beta
+                    mat[j, j] += functionals[i].beta
             if gauge_free:
                 mat = mat + np.ones_like(mat)
-            v[free] = np.linalg.solve(mat, c[free])
-        return v, 1
+            mats = np.broadcast_to(mat, (k, *mat.shape))
+            v[:, free] = np.linalg.solve(mats, c[:, free, None])[:, :, 0]
+        return v, np.ones(k, dtype=int)
 
-    v = v0.astype(np.float64).copy()
-    for i, b in enumerate(functionals):  # project onto the domain first
-        v[i] = b.prox(1.0 / s_mat[i, i], v[i])
+    coordinates = [(i, b, s_mat[i, i], 1.0 / s_mat[i, i], s_mat[i]) for i, b in enumerate(functionals)]
+    groups = _groups(functionals)
+    v = _rows(v0)
+    for i, b, _, lam, _ in coordinates:  # project onto the domain first
+        v[:, i] = b.prox(lam, v[:, i])
+    iterations = np.zeros(k, dtype=int)
+    active = np.arange(k)  # members still sweeping, with their rows of v and c
+    v_act, c_act = v, c
     for it in range(1, max_iters + 1):
-        for i, b in enumerate(functionals):
-            sii = s_mat[i, i]
-            z = (c[i] - s_mat[i] @ v + sii * v[i]) / sii
-            v[i] = b.prox(1.0 / sii, z)
-        resid = float(np.linalg.norm(_boundary_residual(s_mat, c, functionals, v)))
-        if resid <= tol:
-            return v, it
+        for i, b, sii, lam, row in coordinates:
+            z = (c_act[:, i] - np.vecdot(v_act, row) + sii * v_act[:, i]) / sii
+            v_act[:, i] = b.prox(lam, z)
+        resid = _norms(_boundary_residual(s_mat, c_act, groups, v_act))
+        done = resid <= tol
+        if done.any():
+            v[active[done]] = v_act[done]
+            iterations[active[done]] = it
+            active, v_act, c_act = active[~done], v_act[~done], c_act[~done]
+            if not active.size:
+                return v, iterations
+    member = f"member {active[0]}: " if k > 1 else ""
     raise ConvergenceError(
-        f"boundary solve did not reach tol={tol} in {max_iters} sweeps",
-        residual=resid,
+        f"{member}boundary solve did not reach tol={tol} in {max_iters} sweeps",
+        residual=float(resid[~done][0]),
         iterations=max_iters,
     )
 
@@ -187,24 +247,28 @@ class _Operator:
         self.s_mat = 0.5 * (s_mat + s_mat.T)
 
     def solve(self, rhs, functionals, tol, max_inner_iters, v0, gauge_free=False):
-        """Values minimizing v.A v/2 - rhs.v + sum_i B_i(v(p_i)), the reduced
-        right side ``c`` and the number of boundary sweeps."""
-        z = self.lu.solve(rhs[self.interior])
-        c = rhs[self.boundary] - self.a_bi @ z
+        """For each row of the (k, V) ``rhs``: the values minimizing
+        v.A v/2 - rhs.v + sum_i B_i(v(p_i)), the reduced right side ``c``
+        and the number of boundary sweeps, each stacked over the k rows."""
+        z = self.lu.solve(rhs[:, self.interior].T)
+        c = rhs[:, self.boundary] - (self.a_bi @ z).T
         v_b, iters = _solve_boundary_inclusion(
             self.s_mat, c, functionals, tol, max_inner_iters, v0, gauge_free
         )
-        values = np.empty(len(rhs))
-        values[self.interior] = z - self.w @ v_b
-        values[self.boundary] = v_b
+        values = np.empty(rhs.shape)
+        values[:, self.interior] = z.T - (self.w @ v_b[:, :, None])[:, :, 0]
+        values[:, self.boundary] = v_b
         return values, c, iters
 
-    def residuals(self, values, rhs, c, functionals) -> tuple[np.ndarray, float, float]:
-        """Per-boundary subdifferential distances, their norm (the quantity
-        the boundary stopping test bounds) and the interior residual norm."""
-        boundary = _boundary_residual(self.s_mat, c, functionals, values[self.boundary])
-        interior = float(np.linalg.norm((self.a_mat @ values - rhs)[self.interior]))
-        return boundary, float(np.linalg.norm(boundary)), interior
+    def residuals(self, values, rhs, c, functionals):
+        """Per row: the per-boundary subdifferential distances, their norm
+        (the quantity the boundary stopping test bounds) and the interior
+        residual norm."""
+        boundary = _boundary_residual(
+            self.s_mat, c, _groups(functionals), _rows(values[:, self.boundary])
+        )
+        interior = (self.a_mat @ values.T - rhs.T)[self.interior].T
+        return boundary, _norms(boundary), _norms(interior)
 
 
 @functools.lru_cache(maxsize=1)
@@ -221,6 +285,33 @@ def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) ->
         raise DomainMismatchError("measure and form live on different graphs")
     if spec.n != form.graph.n:
         raise DomainMismatchError("spec length does not match the graph")
+
+
+def _advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
+    """Step the (k, V) ensemble ``u0`` to t_end, yielding after each
+    backward Euler step its values and, per member, the boundary sweeps,
+    KKT residual and interior residual."""
+    _check_domains(form, measure, spec)
+    if u0.ndim != 2 or not len(u0) or u0.shape[1] != form.graph.vertex_count:
+        raise DomainMismatchError("initial states must be a (k, V) array, k >= 1")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("initial states must be finite")
+    steps = config.n_steps
+    op = _resolvent(form, measure, config.tau)
+    values = u0
+    for step in range(1, steps + 1):
+        rhs = measure.masses * values / config.tau
+        try:
+            values, c, iters = op.solve(
+                rhs, spec.functionals, config.tol, config.max_inner_iters,
+                values[:, op.boundary],
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"step {step}: {exc}", residual=exc.residual, iterations=exc.iterations
+            ) from None
+        _, kkt, interior = op.residuals(values, rhs, c, spec.functionals)
+        yield values, iters, kkt, interior
 
 
 def backward_euler_step(
@@ -242,42 +333,44 @@ def evolve(
     form: EnergyForm,
     measure: VertexMeasure,
     spec: RobinSpec,
-    u0: VertexFunction,
+    u0: VertexFunction | np.ndarray,
     config: FlowConfig,
-) -> Trajectory:
+) -> Trajectory | Ensemble:
     """Iterate the backward Euler resolvent from u0 to t_end.
 
-    Any finite u0 is admissible; with pinned (Dirichlet-type) boundary
-    functionals the first step projects the boundary values to 0, which is
-    recorded plainly as the first state transition.  If an inner solve
-    fails, the raised ConvergenceError carries the partial trajectory in
-    its ``partial`` attribute.
+    ``u0`` is one VertexFunction, giving a Trajectory, or a (k, V) array
+    of k initial states, giving an Ensemble whose members equal their
+    trajectories run alone bit for bit.  Any finite u0 is admissible; with
+    pinned (Dirichlet-type) boundary functionals the first step projects
+    the boundary values to 0, which is recorded plainly as the first state
+    transition.  If an inner solve fails, the raised ConvergenceError
+    names the step (and, for k > 1, the member) and carries the states
+    before it in its ``partial`` attribute.
     """
-    if u0.graph != form.graph:
+    single = isinstance(u0, VertexFunction)
+    if single and u0.graph != form.graph:
         raise DomainMismatchError("initial state does not live on the form's graph")
-    steps = config.n_steps
-    _check_domains(form, measure, spec)
-    op = _resolvent(form, measure, config.tau)
-    times = np.arange(steps + 1, dtype=np.float64) * config.tau
-    states = [u0]
+    start = u0.values[None] if single else np.asarray(u0, dtype=np.float64)
+    states = [u0 if single else start]
+    times = np.arange(config.n_steps + 1, dtype=np.float64) * config.tau
     diagnostics: list[StepDiagnostics] = []
-    values = u0.values
-    for _ in range(steps):
-        rhs = measure.masses * values / config.tau
-        try:
-            values, c, iters = op.solve(
-                rhs, spec.functionals, config.tol, config.max_inner_iters,
-                values[op.boundary],
+
+    def result():
+        done = times[: len(states)]
+        if single:
+            return Trajectory(form.graph, done, states, diagnostics)
+        return Ensemble(form.graph, done, np.stack(states, axis=1), diagnostics)
+
+    try:
+        for values, iters, kkt, interior in _advance(form, measure, spec, start, config):
+            states.append(VertexFunction(form.graph, values[0]) if single else values)
+            diagnostics.append(
+                StepDiagnostics(int(iters.sum()), float(kkt.max()), float(interior.max()))
             )
-        except ConvergenceError as exc:
-            exc.partial = Trajectory(
-                form.graph, times[: len(states)], states, diagnostics
-            )
-            raise
-        _, kkt, interior = op.residuals(values, rhs, c, spec.functionals)
-        states.append(VertexFunction(form.graph, values))
-        diagnostics.append(StepDiagnostics(iters, kkt, interior))
-    return Trajectory(form.graph, times, states, diagnostics)
+    except ConvergenceError as exc:
+        exc.partial = result()
+        raise
+    return result()
 
 
 @dataclass
@@ -331,23 +424,23 @@ def poisson_solve(
                 f"{compatibility}"
             )
     op = _Operator(stiffness_matrix(form), graph)
-    rhs = measure.masses * f.values
+    rhs = (measure.masses * f.values)[None]
     values, c, iters = op.solve(
-        rhs, spec.functionals, tol, max_inner_iters, np.zeros(graph.n),
+        rhs, spec.functionals, tol, max_inner_iters, np.zeros((1, graph.n)),
         gauge_free=pure_neumann,
     )
     if pure_neumann:
-        values = values - float(np.sum(measure.masses * values))
+        values = values - float(np.sum(measure.masses * values[0]))
     boundary_res, kkt, interior = op.residuals(values, rhs, c, spec.functionals)
     report = PoissonReport(
-        iterations=iters,
-        kkt_residual=kkt,
-        boundary_residuals=tuple(float(x) for x in boundary_res),
-        interior_residual=interior,
+        iterations=int(iters[0]),
+        kkt_residual=float(kkt[0]),
+        boundary_residuals=tuple(boundary_res[0].tolist()),
+        interior_residual=float(interior[0]),
         compatibility=compatibility,
         gauged=pure_neumann,
     )
-    return VertexFunction(graph, values), report
+    return VertexFunction(graph, values[0]), report
 
 
 def normal_derivative(u: VertexFunction, i: int) -> float:

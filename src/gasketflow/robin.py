@@ -10,14 +10,19 @@ which encodes Neumann (B = 0), Dirichlet (B = indicator of {0}) and general
 Robin-type conditions variationally.  Every built-in kind is convex and
 comes with a proximal map, which is what the implicit Euler flow consumes:
 closed forms everywhere except the power kind at p outside {1, 2, 3},
-which takes a few Newton steps on a scalar root.  The maps work on Python
-floats with ``math``, because the boundary sweeps call them one
-coordinate at a time.  Evaluation has one path: every functional is an
-elementwise array expression, and a scalar argument is the 0-d case.
+which takes a few Newton steps on its root.  Evaluation, proximal map and
+subdifferential distance are elementwise array expressions, of which a
+scalar argument is the 0-d case; only the power kind's root at p outside
+{1, 2} is taken one element at a time, on Python floats with ``math``.
+The flow applies the maps to one boundary coordinate of a whole ensemble
+of trajectories at once.  An element's result never depends on the other
+elements, so a trajectory computed alone and inside an ensemble agree bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,26 +47,28 @@ class BoundaryFunctional:
         """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
         raise NotImplementedError
 
-    def prox(self, lam: float, s: float) -> float:
-        """Unique minimizer of B(t) + (t - s)^2 / (2 lam)."""
+    def prox(self, lam: float, s):
+        """Unique minimizer of B(t) + (t - s)^2 / (2 lam), elementwise."""
         if not 0.0 < lam < INF:
             raise ValueError(f"lam must be finite and positive, got {lam}")
-        return self._prox(float(lam), float(s))
+        s = _floats(s)
+        return self._prox(float(lam), s.reshape(-1)).reshape(s.shape)[()]
 
-    def _prox(self, lam: float, s: float) -> float:
+    def _prox(self, lam: float, s: np.ndarray) -> np.ndarray:
+        """The proximal map on a 1-D float array."""
         raise NotImplementedError
 
-    def subdifferential(self, s: float):
-        """Interval (lo, hi) of subgradients at s, or None outside the domain."""
+    def _subgradients(self, s: np.ndarray):
+        """Ends (lo, hi) of the subdifferential at each s, arrays or
+        scalars that broadcast against s; (inf, -inf) outside the domain."""
         raise NotImplementedError
 
-    def subdiff_distance(self, s: float, g: float) -> float:
-        """Distance from g to the subdifferential at s (inf if s infeasible)."""
-        interval = self.subdifferential(float(s))
-        if interval is None:
-            return INF
-        lo, hi = interval
-        return max(0.0, lo - g, g - hi)
+    def subdiff_distance(self, s, g):
+        """Distance from g to the subdifferential at s (inf if s is
+        infeasible), elementwise; a zero distance may carry either sign."""
+        lo, hi = self._subgradients(_floats(s))
+        g = _floats(g)
+        return np.maximum(np.maximum(lo - g, g - hi), 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,10 @@ class Zero(BoundaryFunctional):
         return np.zeros_like(_floats(s))[()]
 
     def _prox(self, lam, s):
-        return s
+        return s.copy()
 
-    def subdifferential(self, s):
-        return (0.0, 0.0)
+    def _subgradients(self, s):
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,11 @@ class DirichletIndicator(BoundaryFunctional):
         return np.where(_floats(s) == 0.0, 0.0, INF)[()]
 
     def _prox(self, lam, s):
-        return 0.0
+        return np.zeros_like(s)
 
-    def subdifferential(self, s):
-        return (-INF, INF) if s == 0.0 else None
+    def _subgradients(self, s):
+        lo = np.where(s == 0.0, -INF, INF)
+        return lo, -lo
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,9 @@ class Quadratic(BoundaryFunctional):
     def _prox(self, lam, s):
         return s / (1.0 + lam * self.beta)
 
-    def subdifferential(self, s):
+    def _subgradients(self, s):
         g = self.beta * s
-        return (g, g)
+        return g, g
 
 
 @dataclass(frozen=True)
@@ -129,18 +137,11 @@ class AbsoluteValue(BoundaryFunctional):
 
     def _prox(self, lam, s):
         shift = lam * self.beta
-        if s > shift:
-            return s - shift
-        if s < -shift:
-            return s + shift
-        return 0.0
+        return np.where(np.abs(s) > shift, s - np.copysign(shift, s), 0.0)
 
-    def subdifferential(self, s):
-        if s > 0:
-            return (self.beta, self.beta)
-        if s < 0:
-            return (-self.beta, -self.beta)
-        return (-self.beta, self.beta)
+    def _subgradients(self, s):
+        beta = self.beta
+        return np.where(s > 0.0, beta, -beta), np.where(s < 0.0, -beta, beta)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,8 @@ class Power(BoundaryFunctional):
     The proximal map has magnitude rho, the root in [0, |s|] of
     rho + lam*beta*rho^(p-1) = |s|: a closed form for p in {1, 2, 3},
     Newton steps otherwise, accurate relative to rho (not to an absolute
-    tolerance, which would lose the tiny roots of p near 1).
+    tolerance, which would lose the tiny roots of p near 1).  For p
+    outside {1, 2} the root is computed per element on Python floats.
     """
 
     beta: float
@@ -172,44 +174,60 @@ class Power(BoundaryFunctional):
             return AbsoluteValue(self.beta)._prox(lam, s)
         if p == 2.0:
             return s / (1.0 + lam * self.beta)
-        x = abs(s)
-        if x == 0.0:
-            return 0.0
-        c = lam * self.beta
-        if p == 3.0:
-            # the positive root of c*rho^2 + rho - x, free of cancellation;
-            # hypot(1, 2 sqrt(c x)) is sqrt(1 + 4 c x) without overflow
-            root = math.hypot(1.0, 2.0 * math.sqrt(c) * math.sqrt(x))
-            return math.copysign(2.0 * x / (1.0 + root), s)
-        # f(rho) = rho + c*rho^q - x is convex and increasing in log(rho), so
-        # Newton steps on log(rho) from above the root decrease monotonically
-        # to it: no step can leave [root, start], and none needs a bisection
-        # safeguard.  The start is min(x, (x/c)^(1/q)), taken in logs so that
-        # it cannot overflow, and raised by the rounding of those logs
-        # (amplified by 1/q) so that it stays above the root.
-        q = p - 1.0
+        return np.array([math.copysign(self._root(lam, abs(x)), x) if x else 0.0 for x in s.tolist()])
+
+    def _root(self, lam: float, x: float) -> float:
+        """The root rho of rho + lam*beta*rho^q = x, q = p - 1, for x > 0.
+
+        It runs on Python floats, one element at a time, with CPython's
+        ``math``: np.hypot rounds differently from math.hypot on about
+        0.6 % of inputs, numpy's exp, log and power differ from libm's by
+        an ulp here and there, and the Newton iteration takes a different
+        number of steps for each element.  A one-element call, the form
+        the boundary sweeps of a single trajectory make, costs a few
+        microseconds this way.
+
+        For p = 3 the root is the positive root of c*rho^2 + rho - x, in a
+        form free of cancellation; hypot(1, 2 sqrt(c x)) is sqrt(1 + 4 c x)
+        without overflow.  Otherwise f(rho) = rho + c*rho^q - x is convex
+        and increasing in log(rho), so Newton steps on log(rho) from above
+        the root decrease monotonically to it: no step can leave
+        [root, start], and none needs a bisection safeguard.  The start is
+        min(x, (x/c)^(1/q)), taken in logs so that it cannot overflow, and
+        raised by the rounding of those logs (amplified by 1/q) so that it
+        stays above the root.  The iteration stops at the root up to the
+        rounding of f, or after a step of a few ulp.
+        """
+        q, c = self.p - 1.0, lam * self.beta
+        if self.p == 3.0:
+            return 2.0 * x / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(c) * math.sqrt(x)))
         log_x, log_lam, log_beta = math.log(x), math.log(lam), math.log(self.beta)
         log_u = (log_x - log_lam - log_beta) / q
         log_u += 8.0 * EPS * (abs(log_x) + abs(log_lam) + abs(log_beta) + 1.0) / q
         rho = x if log_u >= log_x else math.exp(log_u)
         while True:
-            t = c * rho**q
+            try:
+                t = c * rho**q
+            except OverflowError:  # for c < 1, rho^q can overflow while c*rho^q <= x
+                half = rho ** (0.5 * q)
+                t = c * half * half
             f = rho + t - x
             if not f > 0.0:  # at the root, up to the rounding of f
-                break
-            last = rho
-            rho *= math.exp(-f / (rho + q * t))  # f / (df / dlog(rho))
+                return rho
+            slope = rho + q * t  # df / dlog(rho)
+            if slope == INF:  # for x within a factor q of the largest double
+                ratio = (f / t) / (rho / t + q)
+            else:
+                ratio = f / slope
+            last, rho = rho, rho * math.exp(-ratio)
             if not last - rho > 4.0 * EPS * last:  # a step of a few ulp
-                break
-        return math.copysign(rho, s)
+                return rho
 
-    def subdifferential(self, s):
+    def _subgradients(self, s):
         if self.p == 1.0:
-            return AbsoluteValue(self.beta).subdifferential(s)
-        if s == 0.0:
-            return (0.0, 0.0)
-        g = self.beta * abs(s) ** (self.p - 1.0) * math.copysign(1.0, s)
-        return (g, g)
+            return AbsoluteValue(self.beta)._subgradients(s)
+        g = self.beta * np.power(np.abs(s), self.p - 1.0) * np.sign(s)
+        return g, g
 
 
 @dataclass(frozen=True)
@@ -230,14 +248,13 @@ class BoxIndicator(BoundaryFunctional):
         return np.where((s >= self.lower) & (s <= self.upper), 0.0, INF)[()]
 
     def _prox(self, lam, s):
-        return min(max(s, self.lower), self.upper)
+        return np.where(s < self.lower, self.lower, np.where(s > self.upper, self.upper, s))
 
-    def subdifferential(self, s):
-        if s < self.lower or s > self.upper:
-            return None
-        lo = -INF if s == self.lower else 0.0
-        hi = INF if s == self.upper else 0.0
-        return (lo, hi)
+    def _subgradients(self, s):
+        # below the box lo = inf and above it hi = -inf: infinitely far
+        lo = np.where(s > self.lower, 0.0, np.where(s == self.lower, -INF, INF))
+        hi = np.where(s < self.upper, 0.0, np.where(s == self.upper, INF, -INF))
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -271,39 +288,36 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
             total = total + w * np.maximum(a - d, 0.0)
         return total[()]
 
-    def _prox(self, lam, s):
-        x = abs(s)
-        if x == 0.0:
-            return 0.0
+    @functools.cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower ends, upper ends and slope sums of the intervals of |s|
+        between kinks, as column vectors."""
         positions = sorted({d for d, _ in self.breakpoints})
-        bounds = ([0.0] if (not positions or positions[0] > 0.0) else []) + positions + [INF]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            slope_sum = sum(w for d, w in self.breakpoints if d <= lo)
-            rho = (x - lam * slope_sum) / (1.0 + lam * self.kappa)
-            if rho < lo:
-                # the objective's derivative jumps past zero at the kink
-                return math.copysign(lo, s)
-            if rho <= hi:
-                return math.copysign(rho, s)
-        raise AssertionError("unreachable: last interval is unbounded")
+        lower = ([0.0] if (not positions or positions[0] > 0.0) else []) + positions
+        slopes = [sum(w for d, w in self.breakpoints if d <= lo) for lo in lower]
+        return tuple(np.array(a)[:, None] for a in (lower, lower[1:] + [INF], slopes))
 
-    def subdifferential(self, s):
+    def _prox(self, lam, s):
+        x = np.abs(s)
+        lower, upper, slopes = self._pieces
+        # the first piece [lower, upper] of |s| whose stationary point is
+        # <= upper holds the minimizer, at lower if the stationary point lies
+        # below it: there the objective's derivative jumps past zero
+        stationary = (x - lam * slopes) / (1.0 + lam * self.kappa)
+        piece = np.argmax(stationary <= upper, axis=0)
+        rho, lo = stationary[piece, np.arange(x.size)], lower[piece, 0]
+        return np.where(x == 0.0, 0.0, np.copysign(np.where(rho < lo, lo, rho), s))
+
+    def _subgradients(self, s):
         lo = hi = self.kappa * s
-        a = abs(s)
-        sign = math.copysign(1.0, s) if s != 0.0 else 0.0
+        a, sign = np.abs(s), np.sign(s)
         for d, w in self.breakpoints:
-            if a > d:
-                lo += w * sign
-                hi += w * sign
-            elif a == d:
-                if s > 0.0:
-                    hi += w
-                elif s < 0.0:
-                    lo -= w
-                else:  # s == 0 == d
-                    lo -= w
-                    hi += w
-        return (lo, hi)
+            # past the kink both ends move by w*sign; at it the interval
+            # widens by w on the side(s) that s does not lie beyond
+            kink = a == d
+            lo = lo + np.where(a > d, w * sign, np.where(kink & (s <= 0.0), -w, 0.0))
+            hi = hi + np.where(a > d, w * sign, np.where(kink & (s >= 0.0), w, 0.0))
+        return lo, hi
 
 
 _KINDS = {

@@ -361,6 +361,11 @@ def check_locality(
 # flow properties
 
 
+#: pairs per ensemble in ``check_flow_properties``: bounds its memory,
+#: whatever the sample count
+FLOW_PAIRS_PER_ENSEMBLE = 256
+
+
 def check_flow_properties(cfg: SampleConfig) -> list[CheckReport]:
     """Trajectory-level invariants: positivity, order preservation, sup and
     weighted-L2 contraction, energy decay, Neumann mean conservation, and
@@ -369,60 +374,66 @@ def check_flow_properties(cfg: SampleConfig) -> list[CheckReport]:
     Runs ``cfg.sample_count`` pairs of initial data for every builtin spec
     on level 2 of the 3-point gasket with the uniform measure, tau = 0.1,
     t_end = 0.5 and tol = 1e-9; a property is violated above 10 * tol.
+
+    Pair ``j`` of spec ``name`` draws u0, v0 and gap from the generator
+    seeded with (seed, hash of name, j).  The trajectories run as
+    ensembles of up to ``FLOW_PAIRS_PER_ENSEMBLE`` pairs, each member
+    equal bit for bit to its run alone: one ensemble of u0, v0, |u0|,
+    u0 + gap and |u0| + gap under the spec, one Neumann ensemble from
+    |u0| + gap and one Dirichlet ensemble from u0.
     """
     graph = build_level(3, 2)
     form = EnergyForm(graph)
     measure = vertex_measure(graph, MeasureWeights.uniform(3))
     config = FlowConfig(tau=0.1, t_end=0.5, tol=1e-9)
-    neumann = RobinSpec.neumann(3)
-    dirichlet = RobinSpec.dirichlet(3)
+    neumann, dirichlet = RobinSpec.neumann(3), RobinSpec.dirichlet(3)
 
-    def run(values, spec):
-        return evolve(
-            form, measure, spec, VertexFunction(graph, values), config
-        ).values_matrix()
+    def run(spec, *initial):
+        """The trajectories from the rows of the (k, V) ``initial``, split
+        back into one (k, steps + 1, V) stack per argument."""
+        ensemble = evolve(form, measure, spec, np.concatenate(initial), config)
+        return np.split(ensemble.values, len(initial))
 
     properties: dict[str, list[float]] = defaultdict(list)
-    nv = graph.vertex_count
     for name, spec in sorted(builtin_specs(3).items()):
-        for pair in range(cfg.sample_count):
-            rng = np.random.default_rng((cfg.seed, _stable_hash(name), pair))
-            u0 = rng.uniform(-1.0, 1.0, nv)
-            v0 = rng.uniform(-1.0, 1.0, nv)
-            gap = np.abs(rng.uniform(-1.0, 1.0, nv))
-
-            su = run(u0, spec)
-            sv = run(v0, spec)
-            s_abs = run(np.abs(u0), spec)
-            s_above = run(u0 + gap, spec)
-            properties["positivity"].append(max(0.0, -float(s_abs.min())))
-            properties["order_preservation"].append(float(np.max(su - s_above)))
-            sup_d = np.max(np.abs(su - sv), axis=1)
-            properties["sup_contraction"].append(float(np.max(np.diff(sup_d))))
-            l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
-            properties["l2_contraction"].append(float(np.max(np.diff(l2_d))))
-            energies = batch_perturbed_energy(form, spec, su).tolist()
-            decay = -INF
-            for prev, nxt in zip(energies, energies[1:]):
-                if math.isfinite(prev):
-                    decay = max(decay, nxt - prev)
-            properties["energy_decay"].append(decay)
-
-            # |u0| <= dominating, so the sandwich compares these trajectories
-            dominating = np.abs(u0) + gap
-            s_dom = run(dominating, spec)
-            s_neu = run(dominating, neumann)
-            properties["domination_by_neumann"].append(float(np.max(np.abs(su) - s_neu)))
-            s_dir = run(u0, dirichlet)
-            properties["domination_of_dirichlet"].append(
-                float(np.max(np.abs(s_dir) - s_dom))
-            )
-
-            if name == "neumann":
-                means = (su * measure.masses).sum(axis=1)
-                properties["mean_conservation"].append(
-                    float(np.max(np.abs(means - means[0])))
+        for start in range(0, cfg.sample_count, FLOW_PAIRS_PER_ENSEMBLE):
+            stop = min(start + FLOW_PAIRS_PER_ENSEMBLE, cfg.sample_count)
+            pairs = [
+                np.random.default_rng((cfg.seed, _stable_hash(name), pair)).uniform(
+                    -1.0, 1.0, (3, graph.vertex_count)
                 )
+                for pair in range(start, stop)
+            ]
+            u0, v0, gap = np.stack(pairs, axis=1)
+            gap = np.abs(gap)
+            runs = run(spec, u0, v0, np.abs(u0), u0 + gap, np.abs(u0) + gap)
+            # |u0| <= |u0| + gap, so the sandwich compares these trajectories
+            (s_neus,) = run(neumann, np.abs(u0) + gap)
+            (s_dirs,) = run(dirichlet, u0)
+            for su, sv, s_abs, s_above, s_dom, s_neu, s_dir in zip(*runs, s_neus, s_dirs):
+                properties["positivity"].append(max(0.0, -float(s_abs.min())))
+                properties["order_preservation"].append(float(np.max(su - s_above)))
+                sup_d = np.max(np.abs(su - sv), axis=1)
+                properties["sup_contraction"].append(float(np.max(np.diff(sup_d))))
+                l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
+                properties["l2_contraction"].append(float(np.max(np.diff(l2_d))))
+                energies = batch_perturbed_energy(form, spec, su).tolist()
+                decay = -INF
+                for prev, nxt in zip(energies, energies[1:]):
+                    if math.isfinite(prev):
+                        decay = max(decay, nxt - prev)
+                properties["energy_decay"].append(decay)
+
+                properties["domination_by_neumann"].append(float(np.max(np.abs(su) - s_neu)))
+                properties["domination_of_dirichlet"].append(
+                    float(np.max(np.abs(s_dir) - s_dom))
+                )
+
+                if name == "neumann":
+                    means = (su * measure.masses).sum(axis=1)
+                    properties["mean_conservation"].append(
+                        float(np.max(np.abs(means - means[0])))
+                    )
 
     return [
         _report(key, properties[key], cfg.seed, 10.0 * config.tol)

@@ -10,18 +10,66 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gasketflow import (
+    AbsoluteValue,
     BoxIndicator,
     DirichletIndicator,
     EnergyForm,
+    FlowConfig,
+    MeasureWeights,
+    PiecewiseLinearQuadratic,
+    Power,
+    Quadratic,
+    RobinSpec,
+    VertexFunction,
+    Zero,
+    batch_perturbed_energy,
     build_level,
+    builtin_specs,
+    evolve,
     stiffness_matrix,
+    vertex_measure,
 )
+from gasketflow.verify import _report, _stable_hash
+
+EPS = math.ulp(1.0)
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns of ``values``, for bitwise comparison."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def functionals(draw, beta=st.floats(1e-3, 1e3), min_kinks=1):
+    """Every kind, with Power at p in {1, 2, 3} and in (1, 6), and plq with
+    ``min_kinks`` to four breakpoints, kinks at 0 included."""
+    kind = draw(st.sampled_from(["zero", "dirichlet", "quadratic", "abs", "power", "box", "plq"]))
+    if kind == "zero":
+        return Zero()
+    if kind == "dirichlet":
+        return DirichletIndicator()
+    if kind == "quadratic":
+        return Quadratic(draw(beta))
+    if kind == "abs":
+        return AbsoluteValue(draw(beta))
+    if kind == "power":
+        p = draw(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(1.0, 6.0, exclude_min=True))
+        return Power(draw(beta), p)
+    if kind == "box":
+        lower, upper = st.just(0.0) | st.floats(-10.0, 0.0), st.just(0.0) | st.floats(0.0, 10.0)
+        return BoxIndicator(draw(lower), draw(upper))
+    kinks = st.lists(
+        st.tuples(st.just(0.0) | st.floats(0.0, 5.0), beta), min_size=min_kinks, max_size=4
+    )
+    return PiecewiseLinearQuadratic(draw(st.just(0.0) | st.floats(0.0, 10.0)), tuple(draw(kinks)))
 
 
 def brute_force_points(n: int, m: int):
@@ -127,6 +175,86 @@ def prox_oracle(b, lam: float, s: float) -> float:
     return float(res.x)
 
 
+def scalar_prox(b, lam: float, s: float) -> float:
+    """The proximal map of ``b`` at one point, by per-case Python float
+    arithmetic with ``math``: the closed forms written scalar-wise, and the
+    Newton iteration on log(rho) for Power at p outside {1, 2, 3}."""
+    if isinstance(b, Zero):
+        return s
+    if isinstance(b, DirichletIndicator):
+        return 0.0
+    if isinstance(b, Quadratic) or (isinstance(b, Power) and b.p == 2.0):
+        return s / (1.0 + lam * b.beta)
+    if isinstance(b, BoxIndicator):
+        return min(max(s, b.lower), b.upper)
+    if isinstance(b, AbsoluteValue) or (isinstance(b, Power) and b.p == 1.0):
+        shift = lam * b.beta
+        return s - shift if s > shift else s + shift if s < -shift else 0.0
+    x = abs(s)
+    if x == 0.0:
+        return 0.0
+    if isinstance(b, PiecewiseLinearQuadratic):
+        positions = sorted({d for d, _ in b.breakpoints})
+        bounds = ([0.0] if (not positions or positions[0] > 0.0) else []) + positions
+        for lo, hi in zip(bounds, bounds[1:] + [math.inf]):
+            slope = sum(w for d, w in b.breakpoints if d <= lo)
+            rho = (x - lam * slope) / (1.0 + lam * b.kappa)
+            if rho < lo:
+                return math.copysign(lo, s)
+            if rho <= hi:
+                return math.copysign(rho, s)
+    c = lam * b.beta
+    if b.p == 3.0:
+        return math.copysign(2.0 * x / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(c) * math.sqrt(x))), s)
+    q = b.p - 1.0
+    log_x, log_lam, log_beta = math.log(x), math.log(lam), math.log(b.beta)
+    log_u = (log_x - log_lam - log_beta) / q
+    log_u += 8.0 * EPS * (abs(log_x) + abs(log_lam) + abs(log_beta) + 1.0) / q
+    rho = x if log_u >= log_x else math.exp(log_u)
+    while True:
+        t = c * rho**q
+        f = rho + t - x
+        if not f > 0.0:
+            break
+        last = rho
+        rho *= math.exp(-f / (rho + q * t))
+        if not last - rho > 4.0 * EPS * last:
+            break
+    return math.copysign(rho, s)
+
+
+def scalar_subdiff_distance(b, s: float, g: float) -> float:
+    """Distance from g to the subdifferential of ``b`` at one point s (inf
+    outside the domain), from the interval written out case by case."""
+    if isinstance(b, Zero):
+        lo = hi = 0.0
+    elif isinstance(b, DirichletIndicator):
+        if s != 0.0:
+            return math.inf
+        lo, hi = -math.inf, math.inf
+    elif isinstance(b, Quadratic):
+        lo = hi = b.beta * s
+    elif isinstance(b, AbsoluteValue) or (isinstance(b, Power) and b.p == 1.0):
+        lo = b.beta if s > 0.0 else -b.beta
+        hi = -b.beta if s < 0.0 else b.beta
+    elif isinstance(b, Power):
+        lo = hi = 0.0 if s == 0.0 else b.beta * abs(s) ** (b.p - 1.0) * math.copysign(1.0, s)
+    elif isinstance(b, BoxIndicator):
+        if s < b.lower or s > b.upper:
+            return math.inf
+        lo = -math.inf if s == b.lower else 0.0
+        hi = math.inf if s == b.upper else 0.0
+    else:
+        lo = hi = b.kappa * s
+        sign = math.copysign(1.0, s) if s != 0.0 else 0.0
+        for d, w in b.breakpoints:
+            if abs(s) > d:
+                lo, hi = lo + w * sign, hi + w * sign
+            elif abs(s) == d:
+                lo, hi = lo - (w if s <= 0.0 else 0.0), hi + (w if s >= 0.0 else 0.0)
+    return max(0.0, lo - g, g - hi)
+
+
 def power_prox_oracle(b, lam: float, s: float):
     """Minimize beta*|t|^p/p + (t - s)^2/(2 lam) by bounded scalar search,
     at any scale of s and lam*beta.
@@ -230,3 +358,69 @@ def energy_reference(form: EnergyForm, values: np.ndarray) -> float:
         d = float(values[a]) - float(values[b])
         total += d * d
     return form.renormalization * total
+
+
+def flow_properties_reference(cfg):
+    """``check_flow_properties`` as one ``evolve`` call per trajectory.
+
+    Draws the same pairs from the same generators and reduces the same
+    properties in the same order, so its reports must equal the
+    ensemble-based check's exactly.
+    """
+    graph = build_level(3, 2)
+    form = EnergyForm(graph)
+    measure = vertex_measure(graph, MeasureWeights.uniform(3))
+    config = FlowConfig(tau=0.1, t_end=0.5, tol=1e-9)
+    neumann = RobinSpec.neumann(3)
+    dirichlet = RobinSpec.dirichlet(3)
+
+    def run(values, spec):
+        return evolve(
+            form, measure, spec, VertexFunction(graph, values), config
+        ).values_matrix()
+
+    properties = defaultdict(list)
+    nv = graph.vertex_count
+    for name, spec in sorted(builtin_specs(3).items()):
+        for pair in range(cfg.sample_count):
+            rng = np.random.default_rng((cfg.seed, _stable_hash(name), pair))
+            u0 = rng.uniform(-1.0, 1.0, nv)
+            v0 = rng.uniform(-1.0, 1.0, nv)
+            gap = np.abs(rng.uniform(-1.0, 1.0, nv))
+
+            su = run(u0, spec)
+            sv = run(v0, spec)
+            s_abs = run(np.abs(u0), spec)
+            s_above = run(u0 + gap, spec)
+            properties["positivity"].append(max(0.0, -float(s_abs.min())))
+            properties["order_preservation"].append(float(np.max(su - s_above)))
+            sup_d = np.max(np.abs(su - sv), axis=1)
+            properties["sup_contraction"].append(float(np.max(np.diff(sup_d))))
+            l2_d = np.sqrt(((su - sv) ** 2 * measure.masses).sum(axis=1))
+            properties["l2_contraction"].append(float(np.max(np.diff(l2_d))))
+            energies = batch_perturbed_energy(form, spec, su).tolist()
+            decay = -math.inf
+            for prev, nxt in zip(energies, energies[1:]):
+                if math.isfinite(prev):
+                    decay = max(decay, nxt - prev)
+            properties["energy_decay"].append(decay)
+
+            dominating = np.abs(u0) + gap
+            s_dom = run(dominating, spec)
+            s_neu = run(dominating, neumann)
+            properties["domination_by_neumann"].append(float(np.max(np.abs(su) - s_neu)))
+            s_dir = run(u0, dirichlet)
+            properties["domination_of_dirichlet"].append(
+                float(np.max(np.abs(s_dir) - s_dom))
+            )
+
+            if name == "neumann":
+                means = (su * measure.masses).sum(axis=1)
+                properties["mean_conservation"].append(
+                    float(np.max(np.abs(means - means[0])))
+                )
+
+    return [
+        _report(key, properties[key], cfg.seed, 10.0 * config.tol)
+        for key in sorted(properties)
+    ]

@@ -131,6 +131,21 @@ def test_export_bytes_are_pinned(tmp_path, args):
     assert digests == EXPORT_DIGESTS[args[0]]
 
 
+# sha256 of the flow-suite report.json at the default sample count, by seed;
+# the flow runs as ensembles must reproduce the one-trajectory-at-a-time bytes
+FLOW_REPORT_DIGESTS = {
+    0: "64d51ae3da235b0e330dd3280a813c1f80d8d12657ea4f7d30dbd0e1bb315723",
+    1: "e84b077984221b0dc1b1d866d81bd3841a066f05a6c7fcd1961e49f81653e898",
+    2: "bac31dd255c53e1634a992fb4d853862235d533325589484eb5dc0167227f792",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FLOW_REPORT_DIGESTS))
+def test_flow_report_bytes_are_pinned(tmp_path, seed):
+    assert run_cli(["verify", "--suite", "flow", "--seed", seed, "--out", tmp_path]) == 0
+    assert sha256(tmp_path / "report.json") == FLOW_REPORT_DIGESTS[seed]
+
+
 # ---------------------------------------------------------------------------
 # extend
 
@@ -234,6 +249,29 @@ def test_evolve_matches_golden_mixed_robin(tmp_path):
     got = read(out / "trajectory.csv")
     want = read(DATA / "golden_mixed_robin.csv")
     assert got == want
+
+
+def test_evolve_failure_writes_partial_trajectory(tmp_path, capsys):
+    # one sweep is too few for the first step of this nonlinear spec
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc["spec"][0] = {"kind": "absolute_value", "beta": 1.0}
+    ok, failed = tmp_path / "ok", tmp_path / "failed"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", ok]) == 0
+    doc["max_inner_iters"] = 1
+    args = ["evolve", "--config", write_config(tmp_path, doc, "fail.json"), "--out", failed]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1: boundary solve did not reach tol=1e-09 in 1 sweeps")
+    # the states before the failing step: the header and u0
+    rows = read(failed / "trajectory.csv").splitlines()
+    assert rows == read(ok / "trajectory.csv").splitlines()[:2]
+    manifest = json.loads(read(failed / "manifest.json"))
+    assert manifest["outputs"] == {"trajectory": "trajectory.csv"}
+    failure = manifest["failure"]
+    assert failure["step"] == 1 and failure["iterations"] == 1
+    assert failure["residual"] > 1e-9
+    assert f"residual={failure['residual']!r}" in err
+    assert "failure" not in json.loads(read(ok / "manifest.json"))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketflow import (
     AbsoluteValue,
@@ -33,7 +36,8 @@ from gasketflow import (
     vertex_measure,
 )
 
-from oracles import poisson_residual, resolvent_oracle
+from gasketflow import flow
+from oracles import bits, functionals, poisson_residual, resolvent_oracle
 
 INF = math.inf
 
@@ -393,6 +397,101 @@ def test_convergence_error_carries_partial_trajectory():
     assert err.partial is not None
     assert len(err.partial.states) >= 1
     np.testing.assert_array_equal(err.partial.states[0].values, u0.values)
+
+
+# ---------------------------------------------------------------------------
+# ensembles: k trajectories as one (k, V) array
+
+
+@st.composite
+def _ensemble_cases(draw):
+    """A graph, a skewed measure, a spec mixing every kind, k initial
+    states and a few steps of tau in [1e-3, 1]."""
+    n, m = draw(st.sampled_from([(3, 2), (4, 2), (2, 4)]))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    weights = tuple(w / sum(raw) for w in raw)
+    kinds = functionals(beta=st.floats(0.1, 10.0), min_kinks=2)
+    spec = RobinSpec(tuple(draw(kinds) for _ in range(n)))
+    k = draw(st.sampled_from([1, 2, 7, 33]))
+    tau = draw(st.floats(1e-3, 1.0))
+    steps = draw(st.integers(1, 3))
+    config = FlowConfig(tau, steps * tau, max_inner_iters=5000)
+    return n, m, weights, spec, k, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ensemble_cases())
+def test_ensemble_members_equal_their_solo_runs(case):
+    n, m, weights, spec, k, config, seed = case
+    g, form, measure = _setup(n, m, weights)
+    u0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, g.vertex_count))
+    try:
+        ensemble = evolve(form, measure, spec, u0, config)
+    except ConvergenceError as exc:
+        # the member named fails alone at the same step
+        step, member = re.match(r"step (\d+): (?:member (\d+): )?", str(exc)).groups()
+        with pytest.raises(ConvergenceError, match=f"^step {step}: boundary solve"):
+            evolve(form, measure, spec, VertexFunction(g, u0[int(member or 0)]), config)
+        return
+    assert ensemble.values.shape == (k, config.n_steps + 1, g.vertex_count)
+    steps = list(flow._advance(form, measure, spec, u0, config))
+    solos = [evolve(form, measure, spec, VertexFunction(g, u0[j]), config) for j in range(k)]
+    for j, solo in enumerate(solos):
+        np.testing.assert_array_equal(bits(ensemble.values[j]), bits(solo.values_matrix()))
+        diagnostics = [
+            flow.StepDiagnostics(int(iters[j]), float(kkt[j]), float(interior[j]))
+            for _, iters, kkt, interior in steps
+        ]
+        assert diagnostics == solo.diagnostics
+    # an ensemble step sums its members' sweeps and keeps their largest residuals
+    for step, d in enumerate(ensemble.diagnostics):
+        members = [solo.diagnostics[step] for solo in solos]
+        assert d.iterations == sum(m.iterations for m in members)
+        assert d.residual == max(m.residual for m in members)
+        assert d.interior_residual == max(m.interior_residual for m in members)
+
+
+def test_ensemble_members_match_the_full_space_oracle():
+    g, form, measure = _setup(weights=(0.6, 0.3, 0.1))
+    spec = RobinSpec(
+        (
+            Power(0.8, 1.5),
+            PiecewiseLinearQuadratic(0.5, ((0.2, 1.0), (0.6, 0.5))),
+            BoxIndicator(-0.3, 0.4),
+        )
+    )
+    u0 = np.random.default_rng(21).uniform(-1.0, 1.0, (7, g.vertex_count))
+    ensemble = evolve(form, measure, spec, u0, FlowConfig(0.1, 0.1, tol=1e-11))
+    for j in range(7):
+        want = resolvent_oracle(form, measure, spec, u0[j], tau=0.1, tol=1e-13)
+        np.testing.assert_allclose(ensemble.values[j, 1], want, atol=5e-8)
+
+
+def test_ensemble_convergence_error_names_member_and_step():
+    g, form, measure = _setup()
+    spec = RobinSpec.uniform(AbsoluteValue(1.0), 3)
+    u0 = np.random.default_rng(2).uniform(-1.0, 1.0, (3, g.vertex_count))
+    u0[:2] = 0.0  # these converge in their first sweep; member 2 does not
+    config = FlowConfig(0.1, 0.2, max_inner_iters=1)
+    with pytest.raises(ConvergenceError, match=r"^step 1: member 2: boundary solve") as excinfo:
+        evolve(form, measure, spec, u0, config)
+    assert excinfo.value.iterations == 1 and excinfo.value.residual > 0
+    partial = excinfo.value.partial
+    assert partial.values.shape == (3, 1, g.vertex_count) and partial.diagnostics == []
+    np.testing.assert_array_equal(partial.values[:, 0], u0)
+
+
+def test_ensemble_checks_its_initial_states():
+    g, form, measure = _setup()
+    spec = RobinSpec.neumann(3)
+    config = FlowConfig(0.1, 0.1)
+    for shape in [(2, g.vertex_count + 1), (0, g.vertex_count), (g.vertex_count,)]:
+        with pytest.raises(DomainMismatchError):
+            evolve(form, measure, spec, np.zeros(shape), config)
+    bad = np.zeros((2, g.vertex_count))
+    bad[1, 4] = math.nan
+    with pytest.raises(ValueError):
+        evolve(form, measure, spec, bad, config)
 
 
 # ---------------------------------------------------------------------------

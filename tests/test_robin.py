@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +30,18 @@ from gasketflow import (
 )
 from gasketflow.robin import default_check_grid, extended_difference, is_bimonotone
 
-from oracles import bimonotone_oracle, power_prox_oracle, prox_oracle
+from oracles import (
+    bimonotone_oracle,
+    bits,
+    functionals,
+    power_prox_oracle,
+    prox_oracle,
+    scalar_prox,
+    scalar_subdiff_distance,
+)
 
 INF = math.inf
+EPS = math.ulp(1.0)
 
 ALL_KINDS = [
     Zero(),
@@ -235,6 +246,139 @@ def test_prox_rejects_bad_lam(b):
 def test_subdiff_distance_infeasible_point():
     assert DirichletIndicator().subdiff_distance(1.0, 0.0) == INF
     assert BoxIndicator(-1.0, 1.0).subdiff_distance(2.0, 0.0) == INF
+
+
+# ---------------------------------------------------------------------------
+# array forms: elementwise, and equal to the 0-d case
+
+
+def _points(b):
+    """Signed zeros, tiny and huge magnitudes, and the kinks and box ends
+    of ``b``, with their negatives, among ordinary floats."""
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.0, 0.5]
+    special += [d for d, _ in getattr(b, "breakpoints", ())]
+    special += [getattr(b, "lower", 0.0), getattr(b, "upper", 0.0)]
+    special += [-x for x in special]
+    return st.sampled_from(special) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), b=functionals(), lam=st.floats(1e-6, 1e6))
+def test_array_prox_equals_the_scalar_case(data, b, lam):
+    s = np.array(data.draw(st.lists(_points(b), max_size=40)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = b.prox(lam, s)
+        alone = [b.prox(lam, float(x)) for x in s]
+        grid = b.prox(lam, np.stack([s, s[::-1]]))
+    assert got.shape == s.shape
+    np.testing.assert_array_equal(bits(got), bits(alone))
+    np.testing.assert_array_equal(bits(grid), bits([got, got[::-1]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # |1e300|^(p-1)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), b=functionals())
+def test_array_subdiff_distance_equals_the_scalar_case(data, b):
+    size = data.draw(st.integers(0, 40))
+    s = np.array(data.draw(st.lists(_points(b), min_size=size, max_size=size)))
+    g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    got = b.subdiff_distance(s, g)
+    alone = [b.subdiff_distance(float(x), float(y)) for x, y in zip(s, g)]
+    assert got.shape == s.shape
+    # a zero distance may carry either sign; every other bit must agree
+    np.testing.assert_array_equal(got, alone)
+    if isinstance(b, (DirichletIndicator, BoxIndicator)):
+        assert np.all(got[b(s) == INF] == INF)
+
+
+def _moderate(b):
+    """Signed zeros, kinks and box ends among floats of moderate size, where
+    the scalar references cannot overflow."""
+    special = [0.0, -0.0, 5e-324, 1.0, *[d for d, _ in getattr(b, "breakpoints", ())]]
+    special += [getattr(b, "lower", 0.0), getattr(b, "upper", 0.0)]
+    return st.sampled_from(special + [-x for x in special]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), b=functionals(), lam=st.floats(1e-6, 1e6))
+def test_array_prox_equals_the_scalar_reference(data, b, lam):
+    s = np.array(data.draw(st.lists(_moderate(b), min_size=1, max_size=20)))
+    got = b.prox(lam, s)
+    want = [scalar_prox(b, lam, float(x)) for x in s]
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), b=functionals())
+def test_array_subdiff_distance_equals_the_scalar_reference(data, b):
+    size = data.draw(st.integers(1, 20))
+    s = np.array(data.draw(st.lists(_moderate(b), min_size=size, max_size=size)))
+    g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    got = b.subdiff_distance(s, g)
+    want = np.array([scalar_subdiff_distance(b, float(x), float(y)) for x, y in zip(s, g)])
+    if isinstance(b, Power) and b.p not in (1.0, 2.0):
+        # np.power against libm pow: an ulp of the subgradient apart
+        scale = np.abs(g) + b.beta * np.abs(s) ** (b.p - 1.0)
+        assert np.all(np.abs(got - want) <= 4.0 * EPS * scale)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("b", ALL_KINDS, ids=kind_id)
+def test_array_forms_keep_empty_shapes(b):
+    for shape in [(0,), (3, 0)]:
+        empty = np.zeros(shape)
+        assert b.prox(0.5, empty).shape == shape
+        assert b.subdiff_distance(empty, empty).shape == shape
+
+
+def test_power_three_root_does_not_overflow():
+    # 4 c x overflows, so the root must come from hypot(1, 2 sqrt(c x))
+    b = Power(1e3, 3.0)
+    s = np.array([1e300, -1e300, 1e-300])
+    got = b.prox(1e6, s)
+    c = 1e9
+    assert np.all(np.isfinite(got)) and np.all(np.sign(got) == np.sign(s))
+    assert got[0] == pytest.approx(math.sqrt(1e300 / c), rel=1e-12)
+    np.testing.assert_array_equal(bits(got), bits([b.prox(1e6, x) for x in s]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "beta, lam, s",
+    [
+        # rho^q overflows at the root (about 6.3e102 here) while c rho^q < x
+        (2.0**-8, 1e-6, 1e300),
+        (2.0**-8, 1e-6, -1e300),
+        (2.0**-8, 1e-6, 1e290),
+        # and the Newton slope rho + q c rho^q overflows as well
+        (2.0**-8, 1e-6, 1.7e308),
+        (2.0**-8, 1e-6, -1.7e308),
+        (1.0, 1.0, 1.7e308),
+    ],
+)
+def test_power_newton_root_does_not_overflow(beta, lam, s):
+    b = Power(beta, 4.0)
+    c = Fraction(lam) * Fraction(beta)
+    got = b.prox(lam, s)
+    assert math.isfinite(got) and math.copysign(1.0, got) == math.copysign(1.0, s)
+    f = lambda r: Fraction(r) + c * Fraction(r) ** 3 - Fraction(abs(s))
+    rho = abs(float(got))
+    assert f(math.nextafter(rho, INF)) >= 0 >= f(math.nextafter(rho, 0.0))
+
+
+def test_power_roots_near_p_one():
+    # roots far below 1e-15 stay accurate relative to themselves
+    b = Power(811.83, 1.07)
+    s = np.array([3e-3, -0.2, 1e-12, 7.0])
+    got = b.prox(0.1, s)
+    np.testing.assert_array_equal(bits(got), bits([b.prox(0.1, x) for x in s]))
+    q, c = b.p - 1.0, 0.1 * b.beta
+    rho = np.abs(got)
+    assert np.all((rho > 0.0) & (rho < 1e-15))
+    residual = rho + c * rho**q - np.abs(s)
+    assert np.all(np.abs(residual) <= 1e-12 * np.abs(s))
 
 
 # ---------------------------------------------------------------------------

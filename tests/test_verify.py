@@ -19,7 +19,10 @@ from gasketflow import (
     check_scalar_inequalities,
     run_suite,
 )
+from gasketflow import verify
 from gasketflow.verify import _clamped_pair, _envelope_pair, _relative_slack
+
+from oracles import flow_properties_reference
 
 
 def test_scalar_trivial_tuple_holds_with_equality():
@@ -122,6 +125,22 @@ def test_flow_properties_clean_small():
     } <= names
     for r in reports:
         assert r.violations == 0, r
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_properties_equal_the_per_call_reference(seed):
+    # the ensembles reproduce the one-evolve-per-trajectory loop bit for bit
+    cfg = SampleConfig(seed=seed, sample_count=3)
+    got = [asdict(r) for r in check_flow_properties(cfg)]
+    assert got == [asdict(r) for r in flow_properties_reference(cfg)]
+
+
+def test_flow_properties_do_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 2 pairs split 5 pairs into ensembles of 2, 2 and 1
+    cfg = SampleConfig(seed=4, sample_count=5)
+    whole = [asdict(r) for r in check_flow_properties(cfg)]
+    monkeypatch.setattr(verify, "FLOW_PAIRS_PER_ENSEMBLE", 2)
+    assert [asdict(r) for r in check_flow_properties(cfg)] == whole
 
 
 def test_reports_are_reproducible():
