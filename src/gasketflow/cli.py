@@ -7,15 +7,17 @@ configuration and seed: outputs are byte-reproducible.  ``main`` owns the
 run protocol: it times the command and, once the outputs are written,
 writes ``manifest.json`` echoing the configuration, with a ``--tol``
 override recorded as ``config.tol`` and the seed of a random ``u0`` / ``f``
-as its ``seed`` (wall-clock timings in the manifest are the only
-non-reproducible bytes).  Invalid input exits 2 with an ``error:`` message
-and writes nothing; that includes a config that is not UTF-8, a boolean
+as its ``seed`` (the manifest's ``timings``, wall clock and peak memory,
+are the only non-reproducible bytes).  Invalid input exits 2 with an
+``error:`` message and writes nothing; that includes a config that is not UTF-8, a boolean
 where a spec parameter wants a number, and an ``--out`` that cannot be a
 directory.  Only the contents of ``u0`` / ``f`` are checked after the
 graph is built.  When an evolve step's boundary solve does not converge,
 the command writes the trajectory up to the step before, records the
 failing step, its residual and its sweep count under ``failure`` in the
-manifest, and exits 1.
+manifest, and exits 1.  When a poisson boundary solve does not converge,
+the command writes ``report.json`` with the sweep count and residual it
+stopped at, records them under ``failure`` and exits 1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from .energy import EnergyForm, energy_profile, harmonic_function
@@ -315,7 +322,16 @@ def cmd_poisson(args, out: Path):
         f = VertexFunction(graph, vals)
     if f_cfg.get("zero_mean", False):
         f = VertexFunction(graph, f.values - float(np.sum(measure.masses * f.values)))
-    u, report = poisson_solve(EnergyForm(graph), measure, spec, f, tol=tol)
+    try:
+        u, report = poisson_solve(EnergyForm(graph), measure, spec, f, tol=tol)
+    except ConvergenceError as exc:
+        # no solution to write: the report holds where the solve stopped
+        _report_failure(exc)
+        failure = {"residual": exc.residual, "iterations": exc.iterations}
+        report = {"iterations": exc.iterations, "kkt_residual": exc.residual}
+        _write_json(out / "report.json", report)
+        outputs = {"report": "report.json"}
+        return {"config": cfg, "seed": seed, "outputs": outputs, "failure": failure}, 1
     _write_indexed(out / "solution.csv", ["vertex", "value"], u.values.tolist())
     _write_json(out / "report.json", asdict(report))
     outputs = {"solution": "solution.csv", "report": "report.json"}
@@ -329,6 +345,15 @@ def cmd_verify(args, out: Path):
     config = {"suite": args.suite, "samples": samples}
     manifest = {"config": config, "seed": args.seed, "outputs": {"report": "report.json"}}
     return manifest, 0 if result["violations"] == 0 else 1
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far in MiB, None where the
+    platform does not report it."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # B / KiB
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +420,10 @@ def main(argv=None) -> int:
             "command": args.command,
             "version": __version__,
             **entries,
-            "timings": {"wall_s": time.perf_counter() - started},
+            "timings": {
+                "wall_s": time.perf_counter() - started,
+                "peak_rss_mb": _peak_rss_mb(),
+            },
         })
         return code
     # on these command paths a DomainMismatchError can only come from the

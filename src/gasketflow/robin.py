@@ -196,7 +196,10 @@ class Power(BoundaryFunctional):
         min(x, (x/c)^(1/q)), taken in logs so that it cannot overflow, and
         raised by the rounding of those logs (amplified by 1/q) so that it
         stays above the root.  The iteration stops at the root up to the
-        rounding of f, or after a step of a few ulp.
+        rounding of f, or after a step of a few ulp.  Where c is subnormal,
+        rho^(q/2) can overflow as well; t is then formed in logs, whose
+        rounding at arguments near 700 costs about 1e-13 relative in t and
+        1e-13/q in rho.
         """
         q, c = self.p - 1.0, lam * self.beta
         if self.p == 3.0:
@@ -209,8 +212,11 @@ class Power(BoundaryFunctional):
             try:
                 t = c * rho**q
             except OverflowError:  # for c < 1, rho^q can overflow while c*rho^q <= x
-                half = rho ** (0.5 * q)
-                t = c * half * half
+                try:
+                    half = rho ** (0.5 * q)
+                    t = c * half * half
+                except OverflowError:  # and so can rho^(q/2) when c is subnormal
+                    t = math.exp(log_lam + log_beta + q * math.log(rho))
             f = rho + t - x
             if not f > 0.0:  # at the root, up to the rounding of f
                 return rho

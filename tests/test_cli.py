@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import gasketflow
-from gasketflow import cli
+from gasketflow import cli, flow
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,6 +57,20 @@ def test_gasket_level1_exports(tmp_path):
     assert masses[0] == "index,mass"
     assert len(masses) == 1 + 6
     assert (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("has_resource", [True, False])
+def test_manifest_records_wall_time_and_peak_memory(tmp_path, monkeypatch, has_resource):
+    if not has_resource:
+        monkeypatch.setattr(cli, "resource", None)
+    assert run_cli(["gasket", "--n", 3, "--m", 1, "--out", tmp_path]) == 0
+    timings = json.loads(read(tmp_path / "manifest.json"))["timings"]
+    assert sorted(timings) == ["peak_rss_mb", "wall_s"] and timings["wall_s"] > 0
+    if has_resource:
+        # this interpreter has numpy and scipy loaded: tens of MiB, not KiB or GiB
+        assert 10 < timings["peak_rss_mb"] < 4096
+    else:
+        assert timings["peak_rss_mb"] is None
 
 
 def test_gasket_level0_unit_distances(tmp_path):
@@ -144,6 +159,38 @@ FLOW_REPORT_DIGESTS = {
 def test_flow_report_bytes_are_pinned(tmp_path, seed):
     assert run_cli(["verify", "--suite", "flow", "--seed", seed, "--out", tmp_path]) == 0
     assert sha256(tmp_path / "report.json") == FLOW_REPORT_DIGESTS[seed]
+
+
+#: level-4 runs of the golden evolve config and of the README poisson example,
+#: by command: (config, output file, sha256 of that file).  The level-2 golden
+#: factors a matrix small enough that a change in the order of SuperLU's
+#: updates leaves its bytes alone; these outputs move with it.
+SOLVER_PINS = {
+    "evolve": (
+        dict(json.loads((DATA / "mixed_robin_config.json").read_text()), m=4),
+        "trajectory.csv",
+        "8a259d1572ccd044adbd09c6ae6a2899a79e92092eccf0dc0d41e6e40cd66c88",
+    ),
+    "poisson": (
+        {
+            "N": 3,
+            "m": 4,
+            "spec": [{"kind": "quadratic", "beta": 2.0}] * 3,
+            "f": {"kind": "random", "seed": 5, "zero_boundary": True, "zero_mean": False},
+        },
+        "solution.csv",
+        "d56eb74fbb886741413b00b65e63331eca3bc7bfc2e3dcb5bd626aceb841c962",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVER_PINS))
+def test_solver_output_bytes_are_pinned(tmp_path, command):
+    config, output, digest = SOLVER_PINS[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "run"]) == 0
+    assert sha256(tmp_path / "run" / output) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +608,34 @@ def test_poisson_quadratic_boundary_residuals(tmp_path):
     assert run_cli(["poisson", "--config", cfg, "--out", out]) == 0
     report = json.loads(read(out / "report.json"))
     assert all(abs(r) <= 1e-6 for r in report["boundary_residuals"])
+
+
+def test_poisson_failure_writes_report(tmp_path, monkeypatch, capsys):
+    # one sweep is too few for this weakly damped nonlinear spec
+    one_sweep = functools.partial(flow.poisson_solve, max_inner_iters=1)
+    monkeypatch.setattr(cli, "poisson_solve", one_sweep)
+    doc = {
+        "N": 3,
+        "m": 3,
+        "spec": [
+            {"kind": "absolute_value", "beta": 0.01},
+            "neumann",
+            {"kind": "quadratic", "beta": 0.01},
+        ],
+        "f": {"kind": "random", "seed": 0},
+    }
+    out = tmp_path / "failed"
+    assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary solve did not reach tol=1e-09 in 1 sweeps")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+    report = json.loads(read(out / "report.json"))
+    assert report["iterations"] == 1 and report["kkt_residual"] > 1e-9
+    assert f"residual={report['kkt_residual']!r}" in err
+    manifest = json.loads(read(out / "manifest.json"))
+    assert manifest["outputs"] == {"report": "report.json"}
+    assert manifest["failure"] == {"iterations": 1, "residual": report["kkt_residual"]}
+    assert manifest["config"]["f"] == {"kind": "random", "seed": 0}
 
 
 def test_poisson_incompatible_neumann_source_is_usage_error(tmp_path, capsys):

@@ -368,6 +368,31 @@ def test_power_newton_root_does_not_overflow(beta, lam, s):
     assert f(math.nextafter(rho, INF)) >= 0 >= f(math.nextafter(rho, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "beta, p, lam, s",
+    [
+        # lam*beta is subnormal, so rho^q and rho^(q/2) both overflow at the root
+        (1e-300, 200.0, 1e-10, 1e308),
+        (1e-200, 3.5, 1e-120, 1e308),
+        (1e-200, 3.5, 1e-120, -1e300),
+    ],
+)
+def test_power_root_with_subnormal_lam_beta(beta, p, lam, s):
+    b = Power(beta, p)
+    got = b.prox(lam, s)
+    assert math.isfinite(got) and math.copysign(1.0, got) == math.copysign(1.0, s)
+    # rho + c rho^q = |s| to 1e-12 relative, in exact arithmetic: 2q is an
+    # integer, so compare c^2 rho^(2q) with the squared band around |s| - rho
+    rho, x = Fraction(abs(got)), Fraction(abs(s))
+    c2_rho_2q = (Fraction(lam) * Fraction(beta)) ** 2 * rho ** int(2 * (p - 1.0))
+    band = Fraction(1e-12) * x
+    assert (x - rho - band) ** 2 <= c2_rho_2q <= (x - rho + band) ** 2
+    phi, w, u = power_prox_oracle(b, lam, s)
+    assert abs(float(rho) / u - w) <= 5e-6
+    assert phi(float(rho) / u) <= phi(w) + 4 * math.ulp(1.0)
+
+
 def test_power_roots_near_p_one():
     # roots far below 1e-15 stay accurate relative to themselves
     b = Power(811.83, 1.07)
