@@ -26,6 +26,7 @@ from .flow import (
     PoissonReport,
     StepDiagnostics,
     Trajectory,
+    advance,
     backward_euler_step,
     evolve,
     normal_derivative,

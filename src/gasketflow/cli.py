@@ -12,17 +12,20 @@ are the only non-reproducible bytes).  Invalid input exits 2 with an
 ``error:`` message and writes nothing; that includes a config that is not UTF-8, a boolean
 where a spec parameter wants a number, and an ``--out`` that cannot be a
 directory.  Only the contents of ``u0`` / ``f`` are checked after the
-graph is built.  When an evolve step's boundary solve does not converge,
-the command writes the trajectory up to the step before, records the
-failing step, its residual and its sweep count under ``failure`` in the
-manifest, and exits 1.  When a poisson boundary solve does not converge,
-the command writes ``report.json`` with the sweep count and residual it
-stopped at, records them under ``failure`` and exits 1.
+graph is built.  Evolve writes each ``trajectory.csv`` row as its step is
+made.  When a step's boundary solve does not converge, the rows written
+are the states before it; the command records the failing step, its
+residual and its sweep count under ``failure`` in the manifest, and exits
+1.  When a poisson boundary solve does not converge, the command writes
+``report.json`` with the sweep count and residual it stopped at, records
+them under ``failure`` and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -63,17 +66,22 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write one line per row as it is produced, never the whole file at once.
-
-    Floats reach here as ``repr`` of Python floats (``array.tolist()``): the
-    shortest round-trip form keeps golden files stable.
-    """
+@contextlib.contextmanager
+def _csv_writer(path: Path, header: list[str]):
+    """Write the header and yield a function that writes each row as it is
+    produced.  Floats reach here as ``repr`` of Python floats
+    (``array.tolist()``): the shortest round-trip form keeps golden files
+    stable."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        yield lambda row: fh.write(",".join(row) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with _csv_writer(path, header) as write:
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            write(row)
 
 
 def _write_indexed(path: Path, header: list[str], values: list[float]) -> None:
@@ -278,34 +286,33 @@ def cmd_evolve(args, out: Path):
             tol=tol,
             max_inner_iters=_integer(cfg.get("max_inner_iters", 100_000), "max_inner_iters"),
         )
-        flow_cfg.n_steps
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     u0, seed = _parse_vertex_data(
         _require(cfg, "u0", args.config), n, m, f"{args.config}:u0", args.seed
     )
     graph = u0.graph
-    try:
-        trajectory = evolve(EnergyForm(graph), vertex_measure(graph, weights), spec, u0, flow_cfg)
-        failure = None
-    except ConvergenceError as exc:
-        trajectory, failure = exc.partial, exc
+    measure = vertex_measure(graph, weights)
     header = ["time"] + [f"vertex_{i}" for i in range(graph.vertex_count)]
-    rows = (
-        [repr(t), *map(repr, state.values.tolist())]
-        for t, state in zip(trajectory.times.tolist(), trajectory.states)
-    )
-    _write_csv(out / "trajectory.csv", header, rows)
     manifest = {"config": cfg, "seed": seed, "outputs": {"trajectory": "trajectory.csv"}}
-    if failure is None:
-        return manifest, 0
-    _report_failure(failure)
-    manifest["failure"] = {
-        "step": len(trajectory.states),
-        "residual": failure.residual,
-        "iterations": failure.iterations,
-    }
-    return manifest, 1
+    steps = itertools.count()  # the step of the next row, u0's being 0
+    with _csv_writer(out / "trajectory.csv", header) as write:
+
+        def sink(state: VertexFunction) -> None:
+            write([repr(next(steps) * flow_cfg.tau), *map(repr, state.values.tolist())])
+
+        sink(u0)
+        try:
+            evolve(EnergyForm(graph), measure, spec, u0, flow_cfg, sink)
+        except ConvergenceError as exc:
+            _report_failure(exc)
+            manifest["failure"] = {
+                "step": next(steps),
+                "residual": exc.residual,
+                "iterations": exc.iterations,
+            }
+            return manifest, 1
+    return manifest, 0
 
 
 def cmd_poisson(args, out: Path):

@@ -16,15 +16,14 @@ class ResourceLimitError(GasketflowError):
 class ConvergenceError(GasketflowError):
     """Inner solver failed to reach the requested tolerance.
 
-    Carries the last residual and iteration count; callers that abort a
-    longer run may attach the partial result (see ``flow.evolve``).
+    Carries the last residual and iteration count; a flow's steps before
+    the failure are those ``flow.advance`` yielded or an evolve sink took.
     """
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-        self.partial = None
 
 
 class ConfigError(GasketflowError):

@@ -18,9 +18,9 @@ the 2-D right side and the boundary sweeps run on all members at once.  A
 member stops sweeping when its own residual meets the tolerance, and every
 product over the N boundary coordinates is computed one member at a time
 by the same BLAS call, so a member's states and sweep counts equal those
-of the trajectory run alone.  ``evolve`` takes one state or a (k, V)
-array of them; ``backward_euler_step`` and ``poisson_solve`` are the
-k = 1 case, ``poisson_solve`` running the operator code on K.
+of the trajectory run alone.  ``advance`` yields the steps and ``evolve``
+collects them, from one state or a (k, V) array; ``backward_euler_step``
+and ``poisson_solve`` (the operator code run on K) are the k = 1 case.
 
 The iterates inherit, step by step and up to solver tolerance, the
 qualitative properties of the continuous flow: positivity, order
@@ -70,15 +70,14 @@ class FlowConfig:
         _check_solver_controls(self.tol, self.max_inner_iters)
         if self.tau > self.t_end * (1 + 1e-12):
             raise ConfigError("tau must not exceed t_end")
-
-    @property
-    def n_steps(self) -> int:
-        steps = round(self.t_end / self.tau)
-        if abs(steps * self.tau - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(self.n_steps * self.tau - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ConfigError(
                 f"t_end = {self.t_end} is not an integer multiple of tau = {self.tau}"
             )
-        return steps
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_end / self.tau)
 
 
 @dataclass
@@ -176,10 +175,12 @@ def _solve_boundary_inclusion(
     solve per member.  Otherwise the strictly convex objective
     G(v) = v.S v/2 - c.v + sum B_i(v_i) is minimized by cyclic exact
     coordinate proximal steps, which never increase it.  A member's sweeps
-    stop when the norm of its boundary residual is <= tol; after
-    ``max_iters`` sweeps a ConvergenceError names the first member still
-    sweeping.  ``gauge_free`` marks the all-Neumann singular case, where
-    the constant direction is fixed by a rank-one augmentation.
+    stop when the norm of its boundary residual is <= tol.  A
+    ConvergenceError names the first member whose residual is not finite,
+    at the sweep where it overflows, or else the first member still
+    sweeping after ``max_iters`` sweeps.  ``gauge_free`` marks the
+    all-Neumann singular case, where the constant direction is fixed by a
+    rank-one augmentation.
     """
     k, n = c.shape
     if all(isinstance(b, _LINEAR_KINDS) for b in functionals):
@@ -210,6 +211,14 @@ def _solve_boundary_inclusion(
             z = (c_act[:, i] - np.vecdot(v_act, row) + sii * v_act[:, i]) / sii
             v_act[:, i] = b.prox(lam, z)
         resid = _norms(_boundary_residual(s_mat, c_act, groups, v_act))
+        if not resid.max() < math.inf:  # one reduction: nan and inf both fail it
+            j = np.flatnonzero(~np.isfinite(resid))[0]
+            member = f"member {active[j]}: " if k > 1 else ""
+            raise ConvergenceError(
+                f"{member}boundary residual is not finite after {it} sweeps",
+                residual=float(resid[j]),
+                iterations=it,
+            )
         done = resid <= tol
         if done.any():
             v[active[done]] = v_act[done]
@@ -294,10 +303,10 @@ def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) ->
         raise DomainMismatchError("spec length does not match the graph")
 
 
-def _advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
-    """Step the (k, V) ensemble ``u0`` to t_end, yielding after each
-    backward Euler step its values and, per member, the boundary sweeps,
-    KKT residual and interior residual."""
+def advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
+    """Step the (k, V) ensemble ``u0`` to t_end, holding only the current
+    state and yielding after each backward Euler step its values and, per
+    member, the boundary sweeps, KKT residual and interior residual."""
     _check_domains(form, measure, spec)
     if u0.ndim != 2 or not len(u0) or u0.shape[1] != form.graph.vertex_count:
         raise DomainMismatchError("initial states must be a (k, V) array, k >= 1")
@@ -342,6 +351,7 @@ def evolve(
     spec: RobinSpec,
     u0: VertexFunction | np.ndarray,
     config: FlowConfig,
+    sink=None,
 ) -> Trajectory | Ensemble:
     """Iterate the backward Euler resolvent from u0 to t_end.
 
@@ -350,9 +360,9 @@ def evolve(
     trajectories run alone bit for bit.  Any finite u0 is admissible; with
     pinned (Dirichlet-type) boundary functionals the first step projects
     the boundary values to 0, which is recorded plainly as the first state
-    transition.  If an inner solve fails, the raised ConvergenceError
-    names the step (and, for k > 1, the member) and carries the states
-    before it in its ``partial`` attribute.
+    transition.  The states are collected from ``advance``, or passed to
+    ``sink`` as they are made, which leaves u0 the result's one state.  A
+    failed inner solve's ConvergenceError propagates.
     """
     single = isinstance(u0, VertexFunction)
     if single and u0.graph != form.graph:
@@ -361,23 +371,15 @@ def evolve(
     states = [u0 if single else start]
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.tau
     diagnostics: list[StepDiagnostics] = []
-
-    def result():
-        done = times[: len(states)]
-        if single:
-            return Trajectory(form.graph, done, states, diagnostics)
-        return Ensemble(form.graph, done, np.stack(states, axis=1), diagnostics)
-
-    try:
-        for values, iters, kkt, interior in _advance(form, measure, spec, start, config):
-            states.append(VertexFunction(form.graph, values[0]) if single else values)
-            diagnostics.append(
-                StepDiagnostics(int(iters.sum()), float(kkt.max()), float(interior.max()))
-            )
-    except ConvergenceError as exc:
-        exc.partial = result()
-        raise
-    return result()
+    keep = states.append if sink is None else sink
+    for values, iters, kkt, interior in advance(form, measure, spec, start, config):
+        keep(VertexFunction(form.graph, values[0]) if single else values)
+        diagnostics.append(
+            StepDiagnostics(int(iters.sum()), float(kkt.max()), float(interior.max()))
+        )
+    if single:
+        return Trajectory(form.graph, times, states, diagnostics)
+    return Ensemble(form.graph, times, np.stack(states, axis=1), diagnostics)
 
 
 @dataclass

@@ -34,6 +34,7 @@ from .gasket import VertexFunction
 
 INF = math.inf
 EPS = math.ulp(1.0)
+LOG_MAX = math.log(1.7976931348623157e308)  # the largest finite exp argument
 
 
 def _floats(s) -> np.ndarray:
@@ -199,7 +200,9 @@ class Power(BoundaryFunctional):
         rounding of f, or after a step of a few ulp.  Where c is subnormal,
         rho^(q/2) can overflow as well; t is then formed in logs, whose
         rounding at arguments near 700 costs about 1e-13 relative in t and
-        1e-13/q in rho.
+        1e-13/q in rho.  Where t rounds past the largest double, x is within
+        rounding of it, and f and its slope are formed divided by x, from
+        t/x and rho/x.
         """
         q, c = self.p - 1.0, lam * self.beta
         if self.p == 3.0:
@@ -216,11 +219,19 @@ class Power(BoundaryFunctional):
                     half = rho ** (0.5 * q)
                     t = c * half * half
                 except OverflowError:  # and so can rho^(q/2) when c is subnormal
-                    t = math.exp(log_lam + log_beta + q * math.log(rho))
-            f = rho + t - x
+                    log_t = log_lam + log_beta + q * math.log(rho)
+                    t = math.exp(log_t) if log_t <= LOG_MAX else INF
+            if t == INF:  # x within rounding of the largest double: f and slope over x
+                try:
+                    half = rho ** (0.5 * q)
+                    r = c * half / x * half
+                except OverflowError:
+                    r = math.exp(log_lam + log_beta + q * math.log(rho) - log_x)
+                f, slope = rho / x + r - 1.0, rho / x + q * r
+            else:
+                f, slope = rho + t - x, rho + q * t  # slope: df / dlog(rho)
             if not f > 0.0:  # at the root, up to the rounding of f
                 return rho
-            slope = rho + q * t  # df / dlog(rho)
             if slope == INF:  # for x within a factor q of the largest double
                 ratio = (f / t) / (rho / t + q)
             else:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,63 @@ def test_evolve_failure_writes_partial_trajectory(tmp_path, capsys):
     assert failure["residual"] > 1e-9
     assert f"residual={failure['residual']!r}" in err
     assert "failure" not in json.loads(read(ok / "manifest.json"))
+
+
+def test_evolve_failure_at_a_later_step_keeps_the_rows_before_it(tmp_path, capsys):
+    # the box ends hold the boundary exactly for two steps (one sweep each);
+    # at step 3 it leaves them and one sweep is too few
+    doc = {
+        "N": 3, "m": 2, "spec": [{"kind": "box", "lower": -0.1, "upper": 0.1}] * 2 + ["dirichlet"],
+        "tau": 0.1, "t_end": 0.5, "u0": {"kind": "values", "data": [1.0] * 15},
+    }
+    ok, failed = tmp_path / "ok", tmp_path / "failed"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", ok]) == 0
+    doc["max_inner_iters"] = 1
+    args = ["evolve", "--config", write_config(tmp_path, doc, "fail.json"), "--out", failed]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: step 3: boundary solve did not reach")
+    # the header, u0 and the two steps made
+    rows = read(failed / "trajectory.csv").splitlines()
+    assert rows == read(ok / "trajectory.csv").splitlines()[:4]
+    failure = json.loads(read(failed / "manifest.json"))["failure"]
+    assert failure["step"] == 3 and failure["iterations"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_evolve_overflowing_u0_fails_fast(tmp_path, capsys):
+    data = [1e300 if i % 2 else -1e300 for i in range(15)]
+    doc = {
+        "N": 3, "m": 2, "spec": [{"kind": "absolute_value", "beta": 1.0}] * 3,
+        "tau": 0.1, "t_end": 0.2, "u0": {"kind": "values", "data": data},
+    }
+    out = tmp_path / "run"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    assert "step 1: boundary residual is not finite" in capsys.readouterr().err
+    assert read(out / "trajectory.csv").splitlines()[1] == ",".join(["0.0", *map(repr, data)])
+    assert len(read(out / "trajectory.csv").splitlines()) == 2
+    failure = json.loads(read(out / "manifest.json"))["failure"]
+    assert failure["step"] == 1 and failure["iterations"] < 10
+
+
+def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
+    # each row is written as its step is made, so 38 more steps hold no
+    # more states; the untraced first run fills the graph cache
+    doc = {
+        "N": 3, "m": 7, "spec": [{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
+        "tau": 0.01, "u0": {"kind": "random", "seed": 0},
+    }
+    peaks = {}
+    for steps, traced in ((2, False), (2, True), (40, True)):
+        doc["t_end"] = steps * doc["tau"]
+        args = ["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path / str(steps)]
+        if traced:
+            tracemalloc.start()
+        assert run_cli(args) == 0
+        if traced:
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    vertices = len(read(tmp_path / "40" / "trajectory.csv").split("\n", 1)[0].split(",")) - 1
+    assert peaks[40] - peaks[2] < 38 * vertices * 8 / 4
 
 
 @pytest.mark.parametrize(

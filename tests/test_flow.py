@@ -385,18 +385,57 @@ def test_level_convergence_ratio(n, top):
         assert np.allclose(ratios, n + 2, rtol=0.02), (spec, ratios)
 
 
-def test_convergence_error_carries_partial_trajectory():
-    g, form, measure = _setup(m=2)
-    spec = RobinSpec.uniform(Power(1.0, 3.0), 3)
-    u0 = _random(g, 9)
-    cfg = FlowConfig(0.1, 0.5, tol=1e-18, max_inner_iters=2)
+def test_advance_yields_the_steps_before_a_failure():
+    # the box ends hold the boundary exactly for two steps (one sweep, zero
+    # residual); at step 3 it leaves them and one sweep is too few
+    g, form, measure = _setup()
+    spec = RobinSpec((BoxIndicator(-0.1, 0.1), BoxIndicator(-0.1, 0.1), DirichletIndicator()))
+    u0 = np.ones((1, g.vertex_count))
+    steps = []
+    with pytest.raises(ConvergenceError, match=r"^step 3: boundary solve did not reach") as excinfo:
+        for step in flow.advance(form, measure, spec, u0, FlowConfig(0.1, 0.5, max_inner_iters=1)):
+            steps.append(step)
+    assert excinfo.value.iterations == 1 and excinfo.value.residual > 1e-9
+    full = evolve(form, measure, spec, u0, FlowConfig(0.1, 0.5))
+    assert len(steps) == 2
+    for s, (values, iters, kkt, _) in enumerate(steps, 1):
+        np.testing.assert_array_equal(bits(values), bits(full.values[:, s]))
+        assert iters.tolist() == [1] and kkt.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_evolve_sink_takes_the_states_in_place_of_the_result(k):
+    g, form, measure = _setup()
+    spec = RobinSpec((Power(1.0, 3.0), AbsoluteValue(0.5), DirichletIndicator()))
+    u0 = _random(g, 9) if k is None else np.random.default_rng(9).uniform(-1, 1, (k, g.vertex_count))
+    config = FlowConfig(0.1, 0.5)
+    full = evolve(form, measure, spec, u0, config)
+    received = []
+    streamed = evolve(form, measure, spec, u0, config, received.append)
+    assert streamed.diagnostics == full.diagnostics and len(received) == config.n_steps
+    if k is None:
+        assert len(streamed.states) == 1 and streamed.states[0] is u0
+        got, want = [s.values for s in received], full.values_matrix()[1:]
+    else:
+        assert streamed.values.shape == (k, 1, g.vertex_count)
+        got, want = received, full.values.transpose(1, 0, 2)[1:]
+    np.testing.assert_array_equal(bits(np.stack(got)), bits(want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_finite_boundary_residual_fails_at_once(k):
+    # the squared residual norm overflows, and no sweep brings it back
+    g, form, measure = _setup()
+    spec = RobinSpec.uniform(AbsoluteValue(1.0), 3)
+    u0 = np.random.default_rng(0).uniform(-1.0, 1.0, (k, g.vertex_count))
+    u0[-1] *= 1e300
+    member = "member 1: " if k == 2 else ""
+    with pytest.raises(ConvergenceError, match=f"^step 1: {member}boundary residual is not finite"):
+        evolve(form, measure, spec, u0, FlowConfig(0.1, 0.1))
     with pytest.raises(ConvergenceError) as excinfo:
-        evolve(form, measure, spec, u0, cfg)
-    err = excinfo.value
-    assert err.residual is not None and err.residual > 0
-    assert err.partial is not None
-    assert len(err.partial.states) >= 1
-    np.testing.assert_array_equal(err.partial.states[0].values, u0.values)
+        evolve(form, measure, spec, VertexFunction(g, u0[-1]), FlowConfig(0.1, 0.1))
+    assert excinfo.value.iterations < 10 and not math.isfinite(excinfo.value.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +473,7 @@ def test_ensemble_members_equal_their_solo_runs(case):
             evolve(form, measure, spec, VertexFunction(g, u0[int(member or 0)]), config)
         return
     assert ensemble.values.shape == (k, config.n_steps + 1, g.vertex_count)
-    steps = list(flow._advance(form, measure, spec, u0, config))
+    steps = list(flow.advance(form, measure, spec, u0, config))
     solos = [evolve(form, measure, spec, VertexFunction(g, u0[j]), config) for j in range(k)]
     for j, solo in enumerate(solos):
         np.testing.assert_array_equal(bits(ensemble.values[j]), bits(solo.values_matrix()))
@@ -476,9 +515,9 @@ def test_ensemble_convergence_error_names_member_and_step():
     with pytest.raises(ConvergenceError, match=r"^step 1: member 2: boundary solve") as excinfo:
         evolve(form, measure, spec, u0, config)
     assert excinfo.value.iterations == 1 and excinfo.value.residual > 0
-    partial = excinfo.value.partial
-    assert partial.values.shape == (3, 1, g.vertex_count) and partial.diagnostics == []
-    np.testing.assert_array_equal(partial.values[:, 0], u0)
+    steps = flow.advance(form, measure, spec, u0, config)
+    with pytest.raises(ConvergenceError, match=r"^step 1: member 2: boundary solve"):
+        next(steps)  # no step comes before the error
 
 
 def test_ensemble_checks_its_initial_states():

@@ -195,13 +195,40 @@ def test_prox_is_nonexpansive(b, s1, s2, lam):
 )
 def test_power_prox_root_sign_and_minimality(p, log_lam, log_beta, log_x, negative):
     lam, beta, x = 10.0**log_lam, 10.0**log_beta, 10.0**log_x
-    s = -x if negative else x
-    b = Power(beta, p)
+    c, q = lam * beta, p - 1.0
+    _check_power_prox_root(Power(beta, p), lam, -x if negative else x, lambda r: r + c * r**q - x)
+
+
+def _exact_root_equation(b, lam, x):
+    """r + c*r^q - x, c = lam*beta, in exact rational arithmetic for q = a/k
+    in lowest terms: its sign is that of c^k r^a - (x - r)^k where x > r."""
+    a, k = (b.p - 1.0).as_integer_ratio()
+    c = Fraction(lam * b.beta)
+
+    def f(r):
+        rest = Fraction(x) - Fraction(r)
+        return 1 if rest <= 0 else c**k * Fraction(r) ** a - rest**k
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "beta, p, lam",
+    [(1.0, 4.0, 1.0), (2**-8, 4.0, 1e-6), (1e-3, 2.5, 1.0), (1e-300, 200.0, 1e-10)],
+)
+def test_power_prox_root_near_the_largest_double(beta, p, lam):
+    # t = c*rho^q rounds past the largest double here; rho^q cannot be formed
+    x, b = 1.7976931348623157e308, Power(beta, p)
+    _check_power_prox_root(b, lam, x, _exact_root_equation(b, lam, x))
+
+
+def _check_power_prox_root(b, lam, s, f):
+    """The checks of a power prox against f(r) = r + lam*beta*r^(p-1) - |s|."""
     got = b.prox(lam, s)
-    rho, c, q = abs(got), lam * beta, p - 1.0
+    rho, q = abs(got), b.p - 1.0
 
     # the sign of s is kept, and the map is odd
-    assert rho <= x
+    assert rho <= abs(s)
     assert got == 0.0 or math.copysign(1.0, got) == math.copysign(1.0, s)
     assert b.prox(lam, -s) == -got
 
@@ -209,10 +236,9 @@ def test_power_prox_root_sign_and_minimality(p, log_lam, log_beta, log_x, negati
     # within 16 ulp of rho, widened by the root's condition number
     # 1/min(1, q) (for q < 1 the rounding of f itself is that large)
     if q == 0.0:
-        assert rho == max(x - c, 0.0)
+        assert rho == max(abs(s) - lam * b.beta, 0.0)
     else:
         delta = 16 * math.ulp(rho) / min(1.0, q)
-        f = lambda r: r + c * r**q - x
         assert f(rho + delta) >= 0.0
         assert rho - delta <= 0.0 or f(rho - delta) <= 0.0
 
