@@ -42,13 +42,11 @@ from .gasket import (
 )
 from .measure import MeasureWeights, VertexMeasure, l2_inner, l2_norm, mean, vertex_measure
 from .robin import (
-    AbsoluteValue,
     BoundaryFunctional,
     BoxIndicator,
     DirichletIndicator,
     PiecewiseLinearQuadratic,
     Power,
-    Quadratic,
     RobinSpec,
     Zero,
     batch_perturbed_energy,

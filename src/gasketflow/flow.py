@@ -42,7 +42,7 @@ from .errors import ConfigError, ConvergenceError, DomainMismatchError
 from .energy import EnergyForm, stiffness_matrix
 from .gasket import GasketGraph, VertexFunction
 from .measure import VertexMeasure, l2_norm, mean
-from .robin import DirichletIndicator, Quadratic, RobinSpec, Zero
+from .robin import DirichletIndicator, Power, RobinSpec, Zero
 
 
 def _check_solver_controls(tol: float, max_inner_iters: int) -> None:
@@ -117,7 +117,9 @@ class Ensemble:
     diagnostics: list[StepDiagnostics]
 
 
-_LINEAR_KINDS = (Zero, Quadratic, DirichletIndicator)
+def _is_linear(b) -> bool:
+    """Whether b makes the boundary inclusion linear: zero, pinned or beta*s^2/2."""
+    return isinstance(b, (Zero, DirichletIndicator)) or (isinstance(b, Power) and b.p == 2.0)
 
 
 def _rows(a) -> np.ndarray:
@@ -133,7 +135,8 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, by the dot product ``np.linalg.norm``
     takes of one vector."""
     rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.vecdot(rows, rows))
+    with np.errstate(over="ignore"):  # an overflow is an inf norm, which the callers test
+        return np.sqrt(np.vecdot(rows, rows))
 
 
 def _groups(functionals) -> list:
@@ -171,7 +174,7 @@ def _solve_boundary_inclusion(
     """Solve 0 in S v - c + prod_i dB_i(v_i) for each row of ``c``; return
     the solutions and the sweeps each took.
 
-    Linear kinds (none / quadratic / pinned-to-zero) reduce to one dense
+    Linear kinds (none / pinned-to-zero / Power at p = 2) reduce to one dense
     solve per member.  Otherwise the strictly convex objective
     G(v) = v.S v/2 - c.v + sum B_i(v_i) is minimized by cyclic exact
     coordinate proximal steps, which never increase it.  A member's sweeps
@@ -183,14 +186,14 @@ def _solve_boundary_inclusion(
     rank-one augmentation.
     """
     k, n = c.shape
-    if all(isinstance(b, _LINEAR_KINDS) for b in functionals):
+    if all(map(_is_linear, functionals)):
         pinned = [i for i, b in enumerate(functionals) if isinstance(b, DirichletIndicator)]
         free = [i for i in range(n) if i not in pinned]
         v = np.zeros((k, n))
         if free:
             mat = s_mat[np.ix_(free, free)].copy()
             for j, i in enumerate(free):
-                if isinstance(functionals[i], Quadratic):
+                if isinstance(functionals[i], Power):
                     mat[j, j] += functionals[i].beta
             if gauge_free:
                 mat = mat + np.ones_like(mat)

@@ -102,54 +102,11 @@ class DirichletIndicator(BoundaryFunctional):
 
 
 @dataclass(frozen=True)
-class Quadratic(BoundaryFunctional):
-    """B(s) = beta * s^2 / 2, the classical linear Robin damping."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
-
-    def __call__(self, s):
-        s = _floats(s)
-        return (0.5 * self.beta * s * s)[()]
-
-    def _prox(self, lam, s):
-        return s / (1.0 + lam * self.beta)
-
-    def _subgradients(self, s):
-        g = self.beta * s
-        return g, g
-
-
-@dataclass(frozen=True)
-class AbsoluteValue(BoundaryFunctional):
-    """B(s) = beta * |s|; proximal map is the soft threshold."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
-
-    def __call__(self, s):
-        return (self.beta * np.abs(_floats(s)))[()]
-
-    def _prox(self, lam, s):
-        shift = lam * self.beta
-        return np.where(np.abs(s) > shift, s - np.copysign(shift, s), 0.0)
-
-    def _subgradients(self, s):
-        beta = self.beta
-        return np.where(s > 0.0, beta, -beta), np.where(s < 0.0, -beta, beta)
-
-
-@dataclass(frozen=True)
 class Power(BoundaryFunctional):
     """B(s) = beta * |s|^p / p for p >= 1.
 
-    Interpolates the absolute-value (p = 1) and quadratic (p = 2) kinds.
+    p = 2 is the linear Robin damping beta * s^2 / 2 (JSON kind
+    ``quadratic``), p = 1 the soft-thresholding beta*|s| (``absolute_value``).
     The proximal map has magnitude rho, the root in [0, |s|] of
     rho + lam*beta*rho^(p-1) = |s|: a closed form for p in {1, 2, 3},
     Newton steps otherwise, accurate relative to rho (not to an absolute
@@ -167,12 +124,16 @@ class Power(BoundaryFunctional):
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     def __call__(self, s):
-        return (self.beta * np.abs(_floats(s)) ** self.p / self.p)[()]
+        s = _floats(s)
+        if self.p == 2.0:
+            return (0.5 * self.beta * s * s)[()]
+        return (self.beta * np.abs(s) ** self.p / self.p)[()]
 
     def _prox(self, lam, s):
         p = self.p
         if p == 1.0:
-            return AbsoluteValue(self.beta)._prox(lam, s)
+            shift = lam * self.beta
+            return np.where(np.abs(s) > shift, s - np.copysign(shift, s), 0.0)
         if p == 2.0:
             return s / (1.0 + lam * self.beta)
         return np.array([math.copysign(self._root(lam, abs(x)), x) if x else 0.0 for x in s.tolist()])
@@ -241,9 +202,10 @@ class Power(BoundaryFunctional):
                 return rho
 
     def _subgradients(self, s):
+        beta = self.beta
         if self.p == 1.0:
-            return AbsoluteValue(self.beta)._subgradients(s)
-        g = self.beta * np.power(np.abs(s), self.p - 1.0) * np.sign(s)
+            return np.where(s > 0.0, beta, -beta), np.where(s < 0.0, -beta, beta)
+        g = beta * np.power(np.abs(s), self.p - 1.0) * np.sign(s)
         return g, g
 
 
@@ -337,13 +299,23 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
         return lo, hi
 
 
+def quadratic(beta: float) -> Power:
+    """The JSON kind ``quadratic``: beta * s^2 / 2, Power at p = 2."""
+    return Power(beta, 2.0)
+
+
+def absolute_value(beta: float) -> Power:
+    """The JSON kinds ``absolute_value`` and ``abs``: beta * |s|, p = 1."""
+    return Power(beta, 1.0)
+
+
 _KINDS = {
     "zero": Zero,
     "neumann": Zero,
     "dirichlet": DirichletIndicator,
-    "quadratic": Quadratic,
-    "absolute_value": AbsoluteValue,
-    "abs": AbsoluteValue,
+    "quadratic": quadratic,
+    "absolute_value": absolute_value,
+    "abs": absolute_value,
     "power": Power,
     "box": BoxIndicator,
     "plq": PiecewiseLinearQuadratic,

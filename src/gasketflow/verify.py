@@ -21,12 +21,10 @@ from .flow import FlowConfig, evolve
 from .gasket import VertexFunction, build_level
 from .measure import MeasureWeights, vertex_measure
 from .robin import (
-    AbsoluteValue,
     BoxIndicator,
     DirichletIndicator,
     PiecewiseLinearQuadratic,
     Power,
-    Quadratic,
     RobinSpec,
     Zero,
     batch_perturbed_energy,
@@ -188,13 +186,13 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
 
 def builtin_specs(n: int) -> dict[str, RobinSpec]:
     """The canonical convex specs used across suites and tests."""
-    cycle = [Quadratic(1.0), Zero(), DirichletIndicator()]
+    cycle = [Power(1.0, 2.0), Zero(), DirichletIndicator()]
     mixed = RobinSpec(tuple(cycle[i % 3] for i in range(n)))
     return {
         "neumann": RobinSpec.neumann(n),
         "dirichlet": RobinSpec.dirichlet(n),
-        "quadratic": RobinSpec.uniform(Quadratic(1.0), n),
-        "absolute_value": RobinSpec.uniform(AbsoluteValue(1.0), n),
+        "quadratic": RobinSpec.uniform(Power(1.0, 2.0), n),
+        "absolute_value": RobinSpec.uniform(Power(1.0, 1.0), n),
         "power": RobinSpec.uniform(Power(1.0, 3.0), n),
         "box": RobinSpec.uniform(BoxIndicator(-0.5, 0.75), n),
         "plq": RobinSpec.uniform(

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gasketflow import (
-    AbsoluteValue,
     BoxIndicator,
     DirichletIndicator,
     EnergyForm,
@@ -26,7 +25,6 @@ from gasketflow import (
     MeasureWeights,
     PiecewiseLinearQuadratic,
     Power,
-    Quadratic,
     RobinSpec,
     VertexFunction,
     Zero,
@@ -57,9 +55,9 @@ def functionals(draw, beta=st.floats(1e-3, 1e3), min_kinks=1):
     if kind == "dirichlet":
         return DirichletIndicator()
     if kind == "quadratic":
-        return Quadratic(draw(beta))
+        return Power(draw(beta), 2.0)
     if kind == "abs":
-        return AbsoluteValue(draw(beta))
+        return Power(draw(beta), 1.0)
     if kind == "power":
         p = draw(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(1.0, 6.0, exclude_min=True))
         return Power(draw(beta), p)
@@ -183,11 +181,11 @@ def scalar_prox(b, lam: float, s: float) -> float:
         return s
     if isinstance(b, DirichletIndicator):
         return 0.0
-    if isinstance(b, Quadratic) or (isinstance(b, Power) and b.p == 2.0):
+    if isinstance(b, Power) and b.p == 2.0:
         return s / (1.0 + lam * b.beta)
     if isinstance(b, BoxIndicator):
         return min(max(s, b.lower), b.upper)
-    if isinstance(b, AbsoluteValue) or (isinstance(b, Power) and b.p == 1.0):
+    if isinstance(b, Power) and b.p == 1.0:
         shift = lam * b.beta
         return s - shift if s > shift else s + shift if s < -shift else 0.0
     x = abs(s)
@@ -232,9 +230,7 @@ def scalar_subdiff_distance(b, s: float, g: float) -> float:
         if s != 0.0:
             return math.inf
         lo, hi = -math.inf, math.inf
-    elif isinstance(b, Quadratic):
-        lo = hi = b.beta * s
-    elif isinstance(b, AbsoluteValue) or (isinstance(b, Power) and b.p == 1.0):
+    elif isinstance(b, Power) and b.p == 1.0:
         lo = b.beta if s > 0.0 else -b.beta
         hi = -b.beta if s < 0.0 else b.beta
     elif isinstance(b, Power):

@@ -342,7 +342,7 @@ def test_evolve_failure_at_a_later_step_keeps_the_rows_before_it(tmp_path, capsy
     assert failure["step"] == 3 and failure["iterations"] == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_evolve_overflowing_u0_fails_fast(tmp_path, capsys):
     data = [1e300 if i % 2 else -1e300 for i in range(15)]
     doc = {
@@ -391,6 +391,9 @@ def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
         ("spec", [{"kind": "power", "beta": 1.0, "p": float("nan")}, "neumann", "dirichlet"]),
         # no key: the value is the whole file, here bytes that are not UTF-8
         (None, b'{"N": 3, \xff}'),
+        # the kinds that fix p take beta alone
+        ("spec", [{"kind": "quadratic", "beta": 1.0, "p": 3}, "neumann", "dirichlet"]),
+        ("spec", [{"kind": "absolute_value", "beta": 1.0, "p": 2}, "neumann", "dirichlet"]),
     ],
 )
 def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketflow import (
-    AbsoluteValue,
     BoxIndicator,
     DirichletIndicator,
     DomainMismatchError,
     EnergyForm,
     PiecewiseLinearQuadratic,
     Power,
-    Quadratic,
     RobinSpec,
     VertexFunction,
     Zero,
@@ -46,8 +44,8 @@ EPS = math.ulp(1.0)
 ALL_KINDS = [
     Zero(),
     DirichletIndicator(),
-    Quadratic(2.0),
-    AbsoluteValue(1.5),
+    Power(2.0, 2.0),
+    Power(1.5, 1.0),
     Power(1.0, 3.0),
     Power(0.7, 1.5),
     BoxIndicator(-0.5, 0.75),
@@ -60,7 +58,11 @@ FINITE_KINDS = [b for b in ALL_KINDS if not isinstance(b, (DirichletIndicator, B
 
 def kind_id(b) -> str:
     """Test id of a functional: its fields in name order, pairs as JSON
-    lists, which keeps the ids of the hand-written reprs of earlier versions."""
+    lists, which keeps the ids of the hand-written reprs of earlier versions.
+    Power at p = 2 and p = 1 keeps the ids of the Quadratic and
+    AbsoluteValue classes it replaced."""
+    if isinstance(b, Power) and b.p in (1.0, 2.0):
+        return f"{'AbsoluteValue' if b.p == 1.0 else 'Quadratic'}(beta={b.beta!r})"
     fields = sorted(json.loads(json.dumps(vars(b))).items())
     return f"{type(b).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
@@ -73,10 +75,9 @@ def test_eval_examples():
     assert Zero()(123.4) == 0.0
     assert DirichletIndicator()(0.0) == 0.0
     assert DirichletIndicator()(1.0) == INF
-    assert Quadratic(2.0)(3.0) == pytest.approx(9.0, abs=1e-15)
-    assert AbsoluteValue(1.5)(-2.0) == pytest.approx(3.0)
-    assert Power(2.0, 2.0)(3.0) == pytest.approx(Quadratic(2.0)(3.0))
-    assert Power(1.5, 1.0)(-2.0) == pytest.approx(AbsoluteValue(1.5)(-2.0))
+    assert Power(2.0, 2.0)(3.0) == 9.0
+    assert Power(1.5, 1.0)(-2.0) == 3.0
+    assert Power(2.0, 3.0)(3.0) == pytest.approx(18.0)
     assert BoxIndicator(-1.0, 2.0)(1.5) == 0.0
     assert BoxIndicator(-1.0, 2.0)(2.5) == INF
     plq = PiecewiseLinearQuadratic(1.0, ((1.0, 2.0),))
@@ -109,9 +110,9 @@ def test_vectorized_eval_matches_scalar():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        Quadratic(0.0)
+        Power(0.0, 2.0)
     with pytest.raises(ValueError):
-        AbsoluteValue(-1.0)
+        Power(-1.0, 1.0)
     with pytest.raises(ValueError):
         Power(1.0, 0.5)
     with pytest.raises(ValueError):
@@ -122,9 +123,8 @@ def test_parameter_validation():
         PiecewiseLinearQuadratic(0.0, ())
     nan = float("nan")
     for bad in (
-        lambda: Quadratic(nan),
-        lambda: AbsoluteValue(nan),
         lambda: Power(nan, 2.0),
+        lambda: Power(nan, 1.0),
         lambda: Power(1.0, nan),
         lambda: Power(1.0, float("inf")),
         lambda: PiecewiseLinearQuadratic(nan, ((1.0, 1.0),)),
@@ -142,9 +142,9 @@ def test_parameter_validation():
 def test_prox_examples():
     assert Zero().prox(0.3, 5.0) == 5.0
     assert DirichletIndicator().prox(1.0, 5.0) == 0.0
-    assert Quadratic(1.0).prox(1.0, 4.0) == pytest.approx(2.0, abs=1e-15)
-    assert AbsoluteValue(2.0).prox(0.5, 3.0) == pytest.approx(2.0)
-    assert AbsoluteValue(2.0).prox(0.5, 0.5) == 0.0
+    assert Power(1.0, 2.0).prox(1.0, 4.0) == pytest.approx(2.0, abs=1e-15)
+    assert Power(2.0, 1.0).prox(0.5, 3.0) == pytest.approx(2.0)
+    assert Power(2.0, 1.0).prox(0.5, 0.5) == 0.0
     assert BoxIndicator(-1.0, 1.0).prox(0.2, 7.0) == 1.0
 
 
@@ -445,7 +445,7 @@ def test_spec_json_roundtrip():
     ]"""
     expected = RobinSpec(
         (
-            Quadratic(2.0),
+            Power(2.0, 2.0),
             Zero(),
             PiecewiseLinearQuadratic(0.5, ((0.5, 1.0),)),
             PiecewiseLinearQuadratic(1.5),
@@ -458,7 +458,7 @@ def test_spec_aliases():
     spec = RobinSpec.from_json(["neumann", {"kind": "dirichlet"}, {"kind": "abs", "beta": 1.0}])
     assert isinstance(spec.functionals[0], Zero)
     assert isinstance(spec.functionals[1], DirichletIndicator)
-    assert isinstance(spec.functionals[2], AbsoluteValue)
+    assert spec.functionals[2] == Power(1.0, 1.0)
 
 
 def test_spec_parse_errors():
@@ -466,6 +466,9 @@ def test_spec_parse_errors():
         functional_from_json({"kind": "nope"})
     with pytest.raises(ValueError):
         functional_from_json({"kind": "quadratic"})  # missing beta
+    for fixed_p in ({"kind": "quadratic", "beta": 1, "p": 3}, {"kind": "absolute_value", "beta": 1, "p": 2}):
+        with pytest.raises(ValueError, match="'p'"):
+            functional_from_json(fixed_p)
     with pytest.raises(ValueError):
         functional_from_json(42)
     with pytest.raises(ValueError):
@@ -507,8 +510,8 @@ def test_ordering_between_plain_and_pinned():
     g, form = _setup()
     rng = np.random.default_rng(2)
     specs = [
-        RobinSpec.uniform(Quadratic(1.0), 3),
-        RobinSpec.uniform(AbsoluteValue(1.0), 3),
+        RobinSpec.uniform(Power(1.0, 2.0), 3),
+        RobinSpec.uniform(Power(1.0, 1.0), 3),
         RobinSpec.uniform(BoxIndicator(-0.25, 0.5), 3),
     ]
     dirichlet = RobinSpec.dirichlet(3)
@@ -525,7 +528,7 @@ def test_ordering_between_plain_and_pinned():
 def test_perturbed_submodularity_with_defect_identity():
     g, form = _setup()
     rng = np.random.default_rng(3)
-    spec = RobinSpec.uniform(Quadratic(1.0), 3)
+    spec = RobinSpec.uniform(Power(1.0, 2.0), 3)
     for _ in range(20):
         u = VertexFunction(g, rng.uniform(-1, 1, g.vertex_count))
         v = VertexFunction(g, rng.uniform(-1, 1, g.vertex_count))
@@ -607,12 +610,12 @@ def test_dirichlet_dominates_condition_vs_builtins():
 
 def test_total_domination_for_even_kinds():
     neumann = RobinSpec.neumann(3)
-    for b in (Quadratic(1.0), AbsoluteValue(1.0), DirichletIndicator()):
+    for b in (Power(1.0, 2.0), Power(1.0, 1.0), DirichletIndicator()):
         assert totally_dominates_condition(RobinSpec.uniform(b, 3), neumann)
 
 
 def test_condition_fails_in_wrong_direction():
-    # Zero - Quadratic(|s|) is increasing on the negative axis: not bi-monotone
+    # Zero - B(|s|) for B = s^2/2 is increasing on the negative axis: not bi-monotone
     neumann = RobinSpec.neumann(3)
-    quad = RobinSpec.uniform(Quadratic(1.0), 3)
+    quad = RobinSpec.uniform(Power(1.0, 2.0), 3)
     assert not dominates_condition(neumann, quad)
