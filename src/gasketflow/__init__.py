@@ -44,11 +44,9 @@ from .measure import MeasureWeights, VertexMeasure, l2_inner, l2_norm, mean, ver
 from .robin import (
     BoundaryFunctional,
     BoxIndicator,
-    DirichletIndicator,
     PiecewiseLinearQuadratic,
     Power,
     RobinSpec,
-    Zero,
     batch_perturbed_energy,
     dominates_condition,
     functional_from_json,

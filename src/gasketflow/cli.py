@@ -49,7 +49,7 @@ from .errors import (
     GasketflowError,
     ResourceLimitError,
 )
-from .flow import FlowConfig, evolve, poisson_solve
+from .flow import FlowConfig, _check_solver_controls, evolve, poisson_solve
 from .gasket import VertexFunction, build_level, vertex_coordinates
 from .measure import MeasureWeights, vertex_measure
 from .robin import RobinSpec
@@ -188,6 +188,10 @@ def _load_problem(args, keys: set[str]):
     if args.tol is not None:
         cfg["tol"] = args.tol
     tol = _number(cfg.get("tol", 1e-9), f"{where}: tol")
+    try:  # before the graph is built
+        _check_solver_controls(tol)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     n = _integer(_require(cfg, "N", where), f"{where}: N", 2)
     m = _integer(_require(cfg, "m", where), f"{where}: m", 0)
     weights = _weights(cfg.get("weights"), n, f"{where}: weights")

@@ -42,10 +42,10 @@ from .errors import ConfigError, ConvergenceError, DomainMismatchError
 from .energy import EnergyForm, stiffness_matrix
 from .gasket import GasketGraph, VertexFunction
 from .measure import VertexMeasure, l2_norm, mean
-from .robin import DirichletIndicator, Power, RobinSpec, Zero
+from .robin import RobinSpec
 
 
-def _check_solver_controls(tol: float, max_inner_iters: int) -> None:
+def _check_solver_controls(tol: float, max_inner_iters: int = 100_000) -> None:
     """Stopping controls of the boundary solve, for flows and Poisson solves."""
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
@@ -117,11 +117,6 @@ class Ensemble:
     diagnostics: list[StepDiagnostics]
 
 
-def _is_linear(b) -> bool:
-    """Whether b makes the boundary inclusion linear: zero, pinned or beta*s^2/2."""
-    return isinstance(b, (Zero, DirichletIndicator)) or (isinstance(b, Power) and b.p == 2.0)
-
-
 def _rows(a) -> np.ndarray:
     """A C-ordered float copy of the (k, n) ``a``.  numpy's matmul and
     vecdot pick their BLAS call by the strides of their operands, those of
@@ -174,11 +169,11 @@ def _solve_boundary_inclusion(
     """Solve 0 in S v - c + prod_i dB_i(v_i) for each row of ``c``; return
     the solutions and the sweeps each took.
 
-    Linear kinds (none / pinned-to-zero / Power at p = 2) reduce to one dense
-    solve per member.  Otherwise the strictly convex objective
-    G(v) = v.S v/2 - c.v + sum B_i(v_i) is minimized by cyclic exact
-    coordinate proximal steps, which never increase it.  A member's sweeps
-    stop when the norm of its boundary residual is <= tol.  A
+    When every B_i is d_i * s^2 / 2 (``curvature`` d_i in [0, inf], inf pins
+    v_i to 0), one dense solve per member.  Otherwise the strictly convex
+    objective G(v) = v.S v/2 - c.v + sum B_i(v_i) is minimized by cyclic
+    exact coordinate proximal steps, which never increase it.  A member's
+    sweeps stop when the norm of its boundary residual is <= tol.  A
     ConvergenceError names the first member whose residual is not finite,
     at the sweep where it overflows, or else the first member still
     sweeping after ``max_iters`` sweeps.  ``gauge_free`` marks the
@@ -186,19 +181,16 @@ def _solve_boundary_inclusion(
     rank-one augmentation.
     """
     k, n = c.shape
-    if all(map(_is_linear, functionals)):
-        pinned = [i for i, b in enumerate(functionals) if isinstance(b, DirichletIndicator)]
-        free = [i for i in range(n) if i not in pinned]
+    curvatures = [b.curvature for b in functionals]
+    if None not in curvatures:
+        free = [i for i, d in enumerate(curvatures) if d < math.inf]  # the rest stay 0
+        mat = s_mat[np.ix_(free, free)]  # a copy; its diagonal is positive, so + 0.0 keeps its bits
+        mat[np.diag_indices_from(mat)] += [curvatures[i] for i in free]
+        if gauge_free:
+            mat = mat + np.ones_like(mat)
         v = np.zeros((k, n))
-        if free:
-            mat = s_mat[np.ix_(free, free)].copy()
-            for j, i in enumerate(free):
-                if isinstance(functionals[i], Power):
-                    mat[j, j] += functionals[i].beta
-            if gauge_free:
-                mat = mat + np.ones_like(mat)
-            mats = np.broadcast_to(mat, (k, *mat.shape))
-            v[:, free] = np.linalg.solve(mats, c[:, free, None])[:, :, 0]
+        mats = np.broadcast_to(mat, (k, *mat.shape))
+        v[:, free] = np.linalg.solve(mats, c[:, free, None])[:, :, 0]
         return v, np.ones(k, dtype=int)
 
     coordinates = [(i, b, s_mat[i, i], 1.0 / s_mat[i, i], s_mat[i]) for i, b in enumerate(functionals)]
@@ -372,7 +364,6 @@ def evolve(
         raise DomainMismatchError("initial state does not live on the form's graph")
     start = u0.values[None] if single else np.asarray(u0, dtype=np.float64)
     states = [u0 if single else start]
-    times = np.arange(config.n_steps + 1, dtype=np.float64) * config.tau
     diagnostics: list[StepDiagnostics] = []
     keep = states.append if sink is None else sink
     for values, iters, kkt, interior in advance(form, measure, spec, start, config):
@@ -380,6 +371,7 @@ def evolve(
         diagnostics.append(
             StepDiagnostics(int(iters.sum()), float(kkt.max()), float(interior.max()))
         )
+    times = np.arange(len(states), dtype=np.float64) * config.tau  # of the states held
     if single:
         return Trajectory(form.graph, times, states, diagnostics)
     return Ensemble(form.graph, times, np.stack(states, axis=1), diagnostics)
@@ -426,7 +418,7 @@ def poisson_solve(
     if f.graph != form.graph:
         raise DomainMismatchError("source does not live on the form's graph")
     graph = form.graph
-    pure_neumann = all(isinstance(b, Zero) for b in spec.functionals)
+    pure_neumann = all(b.curvature == 0.0 for b in spec.functionals)
     compatibility = None
     if pure_neumann:
         compatibility = mean(measure, f)

@@ -6,18 +6,20 @@ functional per boundary vertex turns the plain energy into
 
     perturbed_energy(u) = energy(u) + sum_i B_i(u(p_i)),
 
-which encodes Neumann (B = 0), Dirichlet (B = indicator of {0}) and general
-Robin-type conditions variationally.  Every built-in kind is convex and
-comes with a proximal map, which is what the implicit Euler flow consumes:
-closed forms everywhere except the power kind at p outside {1, 2, 3},
-which takes a few Newton steps on its root.  Evaluation, proximal map and
-subdifferential distance are elementwise array expressions, of which a
-scalar argument is the 0-d case; only the power kind's root at p outside
-{1, 2} is taken one element at a time, on Python floats with ``math``.
-The flow applies the maps to one boundary coordinate of a whole ensemble
-of trajectories at once.  An element's result never depends on the other
-elements, so a trajectory computed alone and inside an ensemble agree bit
-for bit.
+which encodes Neumann (B = 0, the box R), Dirichlet (B = indicator of the
+box {0}) and general Robin-type conditions variationally.  A functional
+d * s^2 / 2, d in [0, inf], reports d as its ``curvature``, which is all
+the flow asks before a dense linear solve.  Every built-in kind is convex
+and comes with a proximal map, which is what the implicit Euler flow
+consumes: closed forms everywhere except the power kind at p outside
+{1, 2, 3}, which takes a few Newton steps on its root.  Evaluation,
+proximal map and subdifferential distance are elementwise array
+expressions, of which a scalar argument is the 0-d case; only the power
+kind's root at p outside {1, 2} is taken one element at a time, on Python
+floats with ``math``.  The flow applies the maps to one boundary
+coordinate of a whole ensemble of trajectories at once.  An element's
+result never depends on the other elements, so a trajectory computed
+alone and inside an ensemble agree bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def _floats(s) -> np.ndarray:
 
 class BoundaryFunctional:
     """Base interface; subclasses are immutable, convex value types."""
+
+    #: the d in [0, inf] with B(s) = d * s^2 / 2 (inf: the indicator of {0}),
+    #: or None when B is not of that form; kinds that can be override it
+    curvature: float | None = None
 
     def __call__(self, s):
         """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
@@ -70,35 +76,6 @@ class BoundaryFunctional:
         lo, hi = self._subgradients(_floats(s))
         g = _floats(g)
         return np.maximum(np.maximum(lo - g, g - hi), 0.0)[()]
-
-
-@dataclass(frozen=True)
-class Zero(BoundaryFunctional):
-    """No penalty; the Neumann case."""
-
-    def __call__(self, s):
-        return np.zeros_like(_floats(s))[()]
-
-    def _prox(self, lam, s):
-        return s.copy()
-
-    def _subgradients(self, s):
-        return 0.0, 0.0
-
-
-@dataclass(frozen=True)
-class DirichletIndicator(BoundaryFunctional):
-    """Indicator of {0}: zero at the origin, infinite elsewhere."""
-
-    def __call__(self, s):
-        return np.where(_floats(s) == 0.0, 0.0, INF)[()]
-
-    def _prox(self, lam, s):
-        return np.zeros_like(s)
-
-    def _subgradients(self, s):
-        lo = np.where(s == 0.0, -INF, INF)
-        return lo, -lo
 
 
 @dataclass(frozen=True)
@@ -137,6 +114,10 @@ class Power(BoundaryFunctional):
         if p == 2.0:
             return s / (1.0 + lam * self.beta)
         return np.array([math.copysign(self._root(lam, abs(x)), x) if x else 0.0 for x in s.tolist()])
+
+    @property
+    def curvature(self):
+        return self.beta if self.p == 2.0 else None
 
     def _root(self, lam: float, x: float) -> float:
         """The root rho of rho + lam*beta*rho^q = x, q = p - 1, for x > 0.
@@ -229,6 +210,10 @@ class BoxIndicator(BoundaryFunctional):
     def _prox(self, lam, s):
         return np.where(s < self.lower, self.lower, np.where(s > self.upper, self.upper, s))
 
+    @property
+    def curvature(self):
+        return {(-INF, INF): 0.0, (0.0, 0.0): INF}.get((self.lower, self.upper))
+
     def _subgradients(self, s):
         # below the box lo = inf and above it hi = -inf: infinitely far
         lo = np.where(s > self.lower, 0.0, np.where(s == self.lower, -INF, INF))
@@ -287,6 +272,10 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
         rho, lo = stationary[piece, np.arange(x.size)], lower[piece, 0]
         return np.where(x == 0.0, 0.0, np.copysign(np.where(rho < lo, lo, rho), s))
 
+    @property
+    def curvature(self):
+        return None if self.breakpoints else self.kappa
+
     def _subgradients(self, s):
         lo = hi = self.kappa * s
         a, sign = np.abs(s), np.sign(s)
@@ -297,6 +286,16 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
             lo = lo + np.where(a > d, w * sign, np.where(kink & (s <= 0.0), -w, 0.0))
             hi = hi + np.where(a > d, w * sign, np.where(kink & (s >= 0.0), w, 0.0))
         return lo, hi
+
+
+def neumann() -> BoxIndicator:
+    """The JSON kinds ``neumann`` and ``zero``: B = 0, the box R."""
+    return BoxIndicator(-INF, INF)
+
+
+def dirichlet() -> BoxIndicator:
+    """The JSON kind ``dirichlet``: the indicator of {0}, the box {0}."""
+    return BoxIndicator(0.0, 0.0)
 
 
 def quadratic(beta: float) -> Power:
@@ -310,9 +309,9 @@ def absolute_value(beta: float) -> Power:
 
 
 _KINDS = {
-    "zero": Zero,
-    "neumann": Zero,
-    "dirichlet": DirichletIndicator,
+    "zero": neumann,
+    "neumann": neumann,
+    "dirichlet": dirichlet,
     "quadratic": quadratic,
     "absolute_value": absolute_value,
     "abs": absolute_value,
@@ -370,11 +369,11 @@ class RobinSpec:
 
     @classmethod
     def neumann(cls, n: int) -> "RobinSpec":
-        return cls(tuple(Zero() for _ in range(n)))
+        return cls.uniform(neumann(), n)
 
     @classmethod
     def dirichlet(cls, n: int) -> "RobinSpec":
-        return cls(tuple(DirichletIndicator() for _ in range(n)))
+        return cls.uniform(dirichlet(), n)
 
     @classmethod
     def uniform(cls, b: BoundaryFunctional, n: int) -> "RobinSpec":

@@ -22,12 +22,12 @@ from .gasket import VertexFunction, build_level
 from .measure import MeasureWeights, vertex_measure
 from .robin import (
     BoxIndicator,
-    DirichletIndicator,
     PiecewiseLinearQuadratic,
     Power,
     RobinSpec,
-    Zero,
     batch_perturbed_energy,
+    dirichlet,
+    neumann,
     perturbed_energy,
 )
 
@@ -186,7 +186,7 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
 
 def builtin_specs(n: int) -> dict[str, RobinSpec]:
     """The canonical convex specs used across suites and tests."""
-    cycle = [Power(1.0, 2.0), Zero(), DirichletIndicator()]
+    cycle = [Power(1.0, 2.0), neumann(), dirichlet()]
     mixed = RobinSpec(tuple(cycle[i % 3] for i in range(n)))
     return {
         "neumann": RobinSpec.neumann(n),
@@ -207,7 +207,7 @@ def _with_feasible_boundary(values: np.ndarray, spec: RobinSpec, graph, rng) -> 
     so the finite branches of indicator kinds are exercised too."""
     out = values.copy()
     for b, idx in zip(spec.functionals, graph.boundary):
-        if isinstance(b, DirichletIndicator):
+        if b.curvature == INF:
             feasible = rng.random(values.shape[0]) < 0.5
             out[feasible, idx] = 0.0
     return out

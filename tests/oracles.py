@@ -19,7 +19,6 @@ from scipy.optimize import minimize_scalar
 
 from gasketflow import (
     BoxIndicator,
-    DirichletIndicator,
     EnergyForm,
     FlowConfig,
     MeasureWeights,
@@ -27,7 +26,6 @@ from gasketflow import (
     Power,
     RobinSpec,
     VertexFunction,
-    Zero,
     batch_perturbed_energy,
     build_level,
     builtin_specs,
@@ -35,6 +33,7 @@ from gasketflow import (
     stiffness_matrix,
     vertex_measure,
 )
+from gasketflow.robin import dirichlet, neumann
 from gasketflow.verify import _report, _stable_hash
 
 EPS = math.ulp(1.0)
@@ -51,9 +50,9 @@ def functionals(draw, beta=st.floats(1e-3, 1e3), min_kinks=1):
     ``min_kinks`` to four breakpoints, kinks at 0 included."""
     kind = draw(st.sampled_from(["zero", "dirichlet", "quadratic", "abs", "power", "box", "plq"]))
     if kind == "zero":
-        return Zero()
+        return neumann()
     if kind == "dirichlet":
-        return DirichletIndicator()
+        return dirichlet()
     if kind == "quadratic":
         return Power(draw(beta), 2.0)
     if kind == "abs":
@@ -159,8 +158,6 @@ def min_energy_extension(n: int, m: int, coarse_values: np.ndarray):
 
 def prox_oracle(b, lam: float, s: float) -> float:
     """Minimize B(t) + (t - s)^2 / (2 lam) by generic scalar search."""
-    if isinstance(b, DirichletIndicator):
-        return 0.0
     if isinstance(b, BoxIndicator):
         return min(max(s, b.lower), b.upper)
     span = abs(s) + 1.0
@@ -177,10 +174,6 @@ def scalar_prox(b, lam: float, s: float) -> float:
     """The proximal map of ``b`` at one point, by per-case Python float
     arithmetic with ``math``: the closed forms written scalar-wise, and the
     Newton iteration on log(rho) for Power at p outside {1, 2, 3}."""
-    if isinstance(b, Zero):
-        return s
-    if isinstance(b, DirichletIndicator):
-        return 0.0
     if isinstance(b, Power) and b.p == 2.0:
         return s / (1.0 + lam * b.beta)
     if isinstance(b, BoxIndicator):
@@ -224,13 +217,7 @@ def scalar_prox(b, lam: float, s: float) -> float:
 def scalar_subdiff_distance(b, s: float, g: float) -> float:
     """Distance from g to the subdifferential of ``b`` at one point s (inf
     outside the domain), from the interval written out case by case."""
-    if isinstance(b, Zero):
-        lo = hi = 0.0
-    elif isinstance(b, DirichletIndicator):
-        if s != 0.0:
-            return math.inf
-        lo, hi = -math.inf, math.inf
-    elif isinstance(b, Power) and b.p == 1.0:
+    if isinstance(b, Power) and b.p == 1.0:
         lo = b.beta if s > 0.0 else -b.beta
         hi = -b.beta if s < 0.0 else b.beta
     elif isinstance(b, Power):

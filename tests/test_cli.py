@@ -322,6 +322,19 @@ def test_evolve_failure_writes_partial_trajectory(tmp_path, capsys):
     assert "failure" not in json.loads(read(ok / "manifest.json"))
 
 
+def test_evolve_with_1e300_steps_reports_its_first_step(tmp_path, capsys):
+    # a valid config: only the states a run holds get a time, so the first
+    # step runs and its failure is reported like any other
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc["spec"][0] = {"kind": "absolute_value", "beta": 1.0}
+    doc.update(tau=1e-300, t_end=1.0, max_inner_iters=1)
+    out = tmp_path / "run"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: step 1: ")
+    assert json.loads(read(out / "manifest.json"))["failure"]["step"] == 1
+    assert len(read(out / "trajectory.csv").splitlines()) == 2
+
+
 def test_evolve_failure_at_a_later_step_keeps_the_rows_before_it(tmp_path, capsys):
     # the box ends hold the boundary exactly for two steps (one sweep each);
     # at step 3 it leaves them and one sweep is too few
@@ -505,6 +518,17 @@ POISSON_ABS = {
     "spec": [{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
     "f": {"kind": "random", "seed": 0},
 }
+
+
+def test_poisson_zero_tol_is_refused_before_the_graph_build(tmp_path, monkeypatch, capsys):
+    def build_level(n, m):
+        raise AssertionError("the graph was built before tol was checked")
+
+    monkeypatch.setattr(cli, "build_level", build_level)
+    cfg, out = write_config(tmp_path, POISSON_ABS), tmp_path / "x"
+    assert run_cli(["poisson", "--config", cfg, "--out", out, "--tol", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: tol")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

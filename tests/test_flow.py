@@ -10,7 +10,6 @@ from gasketflow import (
     BoxIndicator,
     ConfigError,
     ConvergenceError,
-    DirichletIndicator,
     DomainMismatchError,
     EnergyForm,
     FlowConfig,
@@ -19,7 +18,6 @@ from gasketflow import (
     Power,
     RobinSpec,
     VertexFunction,
-    Zero,
     backward_euler_step,
     build_level,
     energy,
@@ -35,6 +33,7 @@ from gasketflow import (
 )
 
 from gasketflow import flow
+from gasketflow.robin import dirichlet, neumann
 from oracles import bits, functionals, poisson_residual, resolvent_oracle
 
 INF = math.inf
@@ -104,7 +103,7 @@ def test_dirichlet_step_pins_boundary_and_beats_clamping():
         lambda: RobinSpec.uniform(BoxIndicator(-0.25, 0.5), 3),
         lambda: RobinSpec.uniform(Power(1.0, 3.0), 3),
         lambda: RobinSpec.uniform(PiecewiseLinearQuadratic(0.5, ((0.3, 1.0),)), 3),
-        lambda: RobinSpec((Power(1.0, 2.0), Zero(), DirichletIndicator())),
+        lambda: RobinSpec((Power(1.0, 2.0), neumann(), dirichlet())),
     ],
     ids=["neumann", "dirichlet", "quadratic", "abs", "box", "power", "plq", "mixed"],
 )
@@ -197,7 +196,7 @@ def test_one_factorization_per_graph_measure_and_tau(monkeypatch):
     specs = [
         RobinSpec.uniform(Power(1.5, 2.0), 3),
         RobinSpec.uniform(Power(0.8, 1.0), 3),
-        RobinSpec((Power(1.0, 2.0), Zero(), DirichletIndicator())),
+        RobinSpec((Power(1.0, 2.0), neumann(), dirichlet())),
     ]
     u0 = _random(g, 17)
 
@@ -220,7 +219,7 @@ def test_power_near_one_boundary_solve_converges():
     """For p just above 1 the boundary roots lie far below 1e-15, so the
     prox must be accurate relative to the root for the sweeps to converge."""
     g, form, measure = _setup(m=2)
-    spec = RobinSpec((Zero(), Power(811.83, 1.07), DirichletIndicator()))
+    spec = RobinSpec((neumann(), Power(811.83, 1.07), dirichlet()))
     u0 = _random(g, 0)
     tau = 7.2e-4
     cfg = FlowConfig(tau, 5 * tau)
@@ -287,7 +286,7 @@ def test_order_positivity_sup_contraction_small_ensemble():
     rng = np.random.default_rng(0)
     for spec in (
         RobinSpec.uniform(Power(1.0, 2.0), 3),
-        RobinSpec((Power(1.0, 2.0), Zero(), DirichletIndicator())),
+        RobinSpec((Power(1.0, 2.0), neumann(), dirichlet())),
     ):
         for _ in range(3):
             u0 = rng.uniform(-1, 1, g.vertex_count)
@@ -330,7 +329,7 @@ def test_flow_properties_tetrahedral_gasket():
     # same qualitative behavior for the four-point gasket
     g, form, measure = _setup(n=4, m=2)
     cfg = FlowConfig(0.1, 0.5)
-    spec = RobinSpec((Power(1.0, 2.0), Zero(), DirichletIndicator(), Power(0.5, 1.0)))
+    spec = RobinSpec((Power(1.0, 2.0), neumann(), dirichlet(), Power(0.5, 1.0)))
     rng = np.random.default_rng(77)
     u0 = rng.uniform(-1, 1, g.vertex_count)
     gap = np.abs(rng.uniform(-1, 1, g.vertex_count))
@@ -367,7 +366,7 @@ def test_level_convergence_ratio(n, top):
     which the Laplacian's renormalization ((N + 2) / N)^m * N^m grows."""
     specs = [
         RobinSpec.uniform(Power(1.0, 2.0), n),
-        RobinSpec((Power(1.0, 1.0), Zero()) + (DirichletIndicator(),) * (n - 2)),
+        RobinSpec((Power(1.0, 1.0), neumann()) + (dirichlet(),) * (n - 2)),
         RobinSpec.uniform(Power(1.0, 3.0), n),
     ]
     boundary = np.linspace(1.0, -0.5, n)
@@ -387,7 +386,7 @@ def test_advance_yields_the_steps_before_a_failure():
     # the box ends hold the boundary exactly for two steps (one sweep, zero
     # residual); at step 3 it leaves them and one sweep is too few
     g, form, measure = _setup()
-    spec = RobinSpec((BoxIndicator(-0.1, 0.1), BoxIndicator(-0.1, 0.1), DirichletIndicator()))
+    spec = RobinSpec((BoxIndicator(-0.1, 0.1), BoxIndicator(-0.1, 0.1), dirichlet()))
     u0 = np.ones((1, g.vertex_count))
     steps = []
     with pytest.raises(ConvergenceError, match=r"^step 3: boundary solve did not reach") as excinfo:
@@ -404,13 +403,14 @@ def test_advance_yields_the_steps_before_a_failure():
 @pytest.mark.parametrize("k", [None, 2])
 def test_evolve_sink_takes_the_states_in_place_of_the_result(k):
     g, form, measure = _setup()
-    spec = RobinSpec((Power(1.0, 3.0), Power(0.5, 1.0), DirichletIndicator()))
+    spec = RobinSpec((Power(1.0, 3.0), Power(0.5, 1.0), dirichlet()))
     u0 = _random(g, 9) if k is None else np.random.default_rng(9).uniform(-1, 1, (k, g.vertex_count))
     config = FlowConfig(0.1, 0.5)
     full = evolve(form, measure, spec, u0, config)
     received = []
     streamed = evolve(form, measure, spec, u0, config, received.append)
     assert streamed.diagnostics == full.diagnostics and len(received) == config.n_steps
+    assert streamed.times.tolist() == [0.0]  # the times of the states the result holds
     if k is None:
         assert len(streamed.states) == 1 and streamed.states[0] is u0
         got, want = [s.values for s in received], full.values_matrix()[1:]
@@ -436,22 +436,42 @@ def test_non_finite_boundary_residual_fails_at_once(k):
     assert excinfo.value.iterations < 10 and not math.isfinite(excinfo.value.residual)
 
 
+def _spellings(template, *kinds):
+    """The spec ``template`` with its ``None`` entries spelled as each kind."""
+    return [[kind if b is None else b for b in template] for kind in kinds]
+
+
+QUADRATIC_1 = {"kind": "quadratic", "beta": 1.0}
+
+
 @pytest.mark.parametrize(
-    "kinds, betas",
+    "specs",
     [
-        ([{"kind": "quadratic"}, {"kind": "power", "p": 2}], (2.0, 0.5)),
-        ([{"kind": "absolute_value"}, {"kind": "abs"}, {"kind": "power", "p": 1}], (0.02, 0.01)),
+        [
+            [dict(kind, beta=2.0), "neumann", dict(kind, beta=0.5)]
+            for kind in ({"kind": "quadratic"}, {"kind": "power", "p": 2})
+        ],
+        [
+            [dict(kind, beta=0.02), "neumann", dict(kind, beta=0.01)]
+            for kind in ({"kind": "absolute_value"}, {"kind": "abs"}, {"kind": "power", "p": 1})
+        ],
+        _spellings([None, "neumann", QUADRATIC_1], {"kind": "box", "lower": 0, "upper": 0}, "dirichlet"),
+        _spellings(
+            [None, "dirichlet", QUADRATIC_1], {"kind": "box", "lower": -INF, "upper": INF}, "neumann"
+        ),
+        _spellings(
+            [None, "neumann", {"kind": "quadratic", "beta": 0.5}],
+            {"kind": "plq", "kappa": 2.0},
+            {"kind": "quadratic", "beta": 2.0},
+        ),
     ],
-    ids=["p2", "p1"],
+    ids=["p2", "p1", "box-zero", "box-reals", "plq"],
 )
-def test_one_functional_gives_one_trajectory(kinds, betas):
-    # every spelling of beta*|s|^p/p takes the same boundary solve
+def test_one_functional_gives_one_trajectory(specs):
+    # every spelling of a functional takes the same boundary solve
     g, form, measure = _setup(m=3, weights=(0.5, 0.3, 0.2))
     u0 = VertexFunction(g, np.random.default_rng(1).uniform(-1.0, 1.0, g.vertex_count))
-    runs = []
-    for kind in kinds:
-        spec = RobinSpec.from_json([dict(kind, beta=betas[0]), "neumann", dict(kind, beta=betas[1])])
-        runs.append(evolve(form, measure, spec, u0, FlowConfig(0.1, 0.5)))
+    runs = [evolve(form, measure, RobinSpec.from_json(spec), u0, FlowConfig(0.1, 0.5)) for spec in specs]
     for run in runs[1:]:
         np.testing.assert_array_equal(bits(run.values_matrix()), bits(runs[0].values_matrix()))
         assert [d.iterations for d in run.diagnostics] == [d.iterations for d in runs[0].diagnostics]
@@ -587,7 +607,7 @@ def test_poisson_neumann_incompatible_source_rejected():
 
 def test_poisson_rejects_bad_solver_controls():
     g, form, measure = _setup(m=2)
-    spec = RobinSpec((Power(1.0, 1.0), Zero(), DirichletIndicator()))
+    spec = RobinSpec((Power(1.0, 1.0), neumann(), dirichlet()))
     f = _random(g, 0)
     for bad in (
         dict(tol=math.nan),
@@ -627,7 +647,7 @@ def test_poisson_robin_condition_with_boundary_free_source():
 
 def test_poisson_mixed_spec_residual():
     g, form, measure = _setup(m=2)
-    spec = RobinSpec((Power(1.0, 2.0), Zero(), DirichletIndicator()))
+    spec = RobinSpec((Power(1.0, 2.0), neumann(), dirichlet()))
     f = _random(g, 12)
     u, report = poisson_solve(form, measure, spec, f)
     assert poisson_residual(form, measure, spec, f.values, u.values) <= 1e-9
@@ -643,7 +663,7 @@ def test_poisson_mixed_spec_residual():
         # roundoff; the residual test alone must end the solve
         pytest.param(
             3,
-            RobinSpec((Power(0.01, 1.0), Zero(), Power(0.01, 2.0))),
+            RobinSpec((Power(0.01, 1.0), neumann(), Power(0.01, 2.0))),
             0,
             1e-10,
             id="mixed-slow",
@@ -652,7 +672,7 @@ def test_poisson_mixed_spec_residual():
         # residual to it would report more than tol
         pytest.param(
             3,
-            RobinSpec((Power(0.001, 1.0), Zero(), Power(0.001, 2.0))),
+            RobinSpec((Power(0.001, 1.0), neumann(), Power(0.001, 2.0))),
             0,
             1e-9,
             id="kkt-at-tol",

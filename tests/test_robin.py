@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from gasketflow import (
     BoxIndicator,
-    DirichletIndicator,
     DomainMismatchError,
     EnergyForm,
     PiecewiseLinearQuadratic,
     Power,
     RobinSpec,
     VertexFunction,
-    Zero,
     build_level,
     dominates_condition,
     energy,
@@ -26,7 +24,13 @@ from gasketflow import (
     perturbed_energy,
     totally_dominates_condition,
 )
-from gasketflow.robin import default_check_grid, extended_difference, is_bimonotone
+from gasketflow.robin import (
+    default_check_grid,
+    dirichlet,
+    extended_difference,
+    is_bimonotone,
+    neumann,
+)
 
 from oracles import (
     bimonotone_oracle,
@@ -42,8 +46,8 @@ INF = math.inf
 EPS = math.ulp(1.0)
 
 ALL_KINDS = [
-    Zero(),
-    DirichletIndicator(),
+    neumann(),
+    dirichlet(),
     Power(2.0, 2.0),
     Power(1.5, 1.0),
     Power(1.0, 3.0),
@@ -53,14 +57,18 @@ ALL_KINDS = [
     PiecewiseLinearQuadratic(0.0, ((0.0, 1.0),)),  # pure soft threshold
 ]
 
-FINITE_KINDS = [b for b in ALL_KINDS if not isinstance(b, (DirichletIndicator, BoxIndicator))]
+FINITE_KINDS = [b for b in ALL_KINDS if np.all(np.isfinite(b(default_check_grid())))]
 
 
 def kind_id(b) -> str:
     """Test id of a functional: its fields in name order, pairs as JSON
     lists, which keeps the ids of the hand-written reprs of earlier versions.
     Power at p = 2 and p = 1 keeps the ids of the Quadratic and
-    AbsoluteValue classes it replaced."""
+    AbsoluteValue classes it replaced, and the boxes R and {0} those of
+    Zero and DirichletIndicator."""
+    legacy = {neumann(): "Zero()", dirichlet(): "DirichletIndicator()"}
+    if b in legacy:
+        return legacy[b]
     if isinstance(b, Power) and b.p in (1.0, 2.0):
         return f"{'AbsoluteValue' if b.p == 1.0 else 'Quadratic'}(beta={b.beta!r})"
     fields = sorted(json.loads(json.dumps(vars(b))).items())
@@ -72,9 +80,9 @@ def kind_id(b) -> str:
 
 
 def test_eval_examples():
-    assert Zero()(123.4) == 0.0
-    assert DirichletIndicator()(0.0) == 0.0
-    assert DirichletIndicator()(1.0) == INF
+    assert neumann()(123.4) == 0.0
+    assert dirichlet()(0.0) == 0.0
+    assert dirichlet()(1.0) == INF
     assert Power(2.0, 2.0)(3.0) == 9.0
     assert Power(1.5, 1.0)(-2.0) == 3.0
     assert Power(2.0, 3.0)(3.0) == pytest.approx(18.0)
@@ -140,8 +148,8 @@ def test_parameter_validation():
 
 
 def test_prox_examples():
-    assert Zero().prox(0.3, 5.0) == 5.0
-    assert DirichletIndicator().prox(1.0, 5.0) == 0.0
+    assert neumann().prox(0.3, 5.0) == 5.0
+    assert dirichlet().prox(1.0, 5.0) == 0.0
     assert Power(1.0, 2.0).prox(1.0, 4.0) == pytest.approx(2.0, abs=1e-15)
     assert Power(2.0, 1.0).prox(0.5, 3.0) == pytest.approx(2.0)
     assert Power(2.0, 1.0).prox(0.5, 0.5) == 0.0
@@ -269,8 +277,30 @@ def test_prox_rejects_bad_lam(b):
             b.prox(lam, 1.0)
 
 
+def test_curvature_of_each_kind():
+    # d with B(s) = d * s^2 / 2, inf for the indicator of {0}, None if B has no such form
+    cases = [
+        (neumann(), 0.0),
+        (BoxIndicator(-0.0, 0.0), INF),
+        (Power(2.0, 2.0), 2.0),
+        (PiecewiseLinearQuadratic(1.5), 1.5),
+        (Power(2.0, 1.0), None),
+        (Power(2.0, 3.0), None),
+        (BoxIndicator(-INF, 1.0), None),
+        (BoxIndicator(-0.5, 0.75), None),
+        (PiecewiseLinearQuadratic(1.5, ((0.0, 1.0),)), None),
+    ]
+    for b, d in cases:
+        assert b.curvature == d, b
+    for b in ALL_KINDS:
+        if b.curvature is not None:
+            grid = default_check_grid()
+            expected = [0.0 if s == 0.0 else 0.5 * b.curvature * s * s for s in grid.tolist()]
+            np.testing.assert_array_equal(b(grid), expected)
+
+
 def test_subdiff_distance_infeasible_point():
-    assert DirichletIndicator().subdiff_distance(1.0, 0.0) == INF
+    assert dirichlet().subdiff_distance(1.0, 0.0) == INF
     assert BoxIndicator(-1.0, 1.0).subdiff_distance(2.0, 0.0) == INF
 
 
@@ -314,7 +344,7 @@ def test_array_subdiff_distance_equals_the_scalar_case(data, b):
     assert got.shape == s.shape
     # a zero distance may carry either sign; every other bit must agree
     np.testing.assert_array_equal(got, alone)
-    if isinstance(b, (DirichletIndicator, BoxIndicator)):
+    if isinstance(b, BoxIndicator):
         assert np.all(got[b(s) == INF] == INF)
 
 
@@ -446,7 +476,7 @@ def test_spec_json_roundtrip():
     expected = RobinSpec(
         (
             Power(2.0, 2.0),
-            Zero(),
+            BoxIndicator(-INF, INF),
             PiecewiseLinearQuadratic(0.5, ((0.5, 1.0),)),
             PiecewiseLinearQuadratic(1.5),
         )
@@ -456,8 +486,8 @@ def test_spec_json_roundtrip():
 
 def test_spec_aliases():
     spec = RobinSpec.from_json(["neumann", {"kind": "dirichlet"}, {"kind": "abs", "beta": 1.0}])
-    assert isinstance(spec.functionals[0], Zero)
-    assert isinstance(spec.functionals[1], DirichletIndicator)
+    assert spec.functionals[0] == BoxIndicator(-INF, INF)
+    assert spec.functionals[1] == BoxIndicator(0.0, 0.0)
     assert spec.functionals[2] == Power(1.0, 1.0)
 
 
@@ -610,12 +640,12 @@ def test_dirichlet_dominates_condition_vs_builtins():
 
 def test_total_domination_for_even_kinds():
     neumann = RobinSpec.neumann(3)
-    for b in (Power(1.0, 2.0), Power(1.0, 1.0), DirichletIndicator()):
+    for b in (Power(1.0, 2.0), Power(1.0, 1.0), dirichlet()):
         assert totally_dominates_condition(RobinSpec.uniform(b, 3), neumann)
 
 
 def test_condition_fails_in_wrong_direction():
-    # Zero - B(|s|) for B = s^2/2 is increasing on the negative axis: not bi-monotone
+    # 0 - B(|s|) for B = s^2/2 is increasing on the negative axis: not bi-monotone
     neumann = RobinSpec.neumann(3)
     quad = RobinSpec.uniform(Power(1.0, 2.0), 3)
     assert not dominates_condition(neumann, quad)
