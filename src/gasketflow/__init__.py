@@ -61,6 +61,5 @@ from .verify import (
     check_flow_properties,
     check_locality,
     check_perturbed_criteria,
-    check_scalar_inequalities,
     run_suite,
 )

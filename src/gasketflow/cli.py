@@ -62,31 +62,38 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _finite_or_null(obj):
+    """``obj`` with each inf and nan float replaced by None, which JSON
+    spells ``null``."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite_or_null, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float is written as ``null``."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 @contextlib.contextmanager
 def _csv_writer(path: Path, header: list[str]):
-    """Write the header and yield a function that writes each row as it is
-    produced.  Floats reach here as ``repr`` of Python floats
-    (``array.tolist()``): the shortest round-trip form keeps golden files
-    stable."""
+    """Write the header and yield a function that writes each row of
+    numbers as it is produced.  Each is printed by ``repr``, so the rows
+    must hold Python ints and floats (``array.tolist()``): the shortest
+    round-trip form keeps golden files stable."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        yield lambda row: fh.write(",".join(row) + "\n")
+        yield lambda row: fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with _csv_writer(path, header) as write:
         for row in rows:
             write(row)
-
-
-def _write_indexed(path: Path, header: list[str], values: list[float]) -> None:
-    """An ``index,value`` CSV of a list of floats."""
-    _write_csv(path, header, ([str(i), repr(v)] for i, v in enumerate(values)))
 
 
 def _load_config(path: str) -> dict:
@@ -258,9 +265,9 @@ def cmd_gasket(args, out: Path):
     _write_json(out / "graph.json", graph.to_json_dict())
     coords = vertex_coordinates(graph)
     header = ["index"] + [f"x_{k + 1}" for k in range(graph.n - 1)]
-    rows = ([str(i), *map(repr, row)] for i, row in enumerate(coords.tolist()))
+    rows = ((i, *row) for i, row in enumerate(coords.tolist()))
     _write_csv(out / "coordinates.csv", header, rows)
-    _write_indexed(out / "masses.csv", ["index", "mass"], measure.masses.tolist())
+    _write_csv(out / "masses.csv", ["index", "mass"], enumerate(measure.masses.tolist()))
     config = {"N": args.n, "m": args.m, "weights": list(weights.weights)}
     outputs = {"graph": "graph.json", "coordinates": "coordinates.csv", "masses": "masses.csv"}
     return {"config": config, "seed": None, "outputs": outputs}, 0
@@ -270,8 +277,8 @@ def cmd_extend(args, out: Path):
     raw = _comma_list(args.boundary, "--boundary")
     boundary = _numbers(raw, "--boundary", args.n).tolist()
     u = harmonic_function(build_level(args.n, args.m), boundary)
-    _write_indexed(out / "extension.csv", ["vertex", "value"], u.values.tolist())
-    _write_indexed(out / "profile.csv", ["m", "energy"], energy_profile(u))
+    _write_csv(out / "extension.csv", ["vertex", "value"], enumerate(u.values.tolist()))
+    _write_csv(out / "profile.csv", ["m", "energy"], enumerate(energy_profile(u)))
     config = {"N": args.n, "m": args.m, "boundary": boundary}
     outputs = {"extension": "extension.csv", "profile": "profile.csv"}
     return {"config": config, "seed": None, "outputs": outputs}, 0
@@ -303,7 +310,7 @@ def cmd_evolve(args, out: Path):
     with _csv_writer(out / "trajectory.csv", header) as write:
 
         def sink(state: VertexFunction) -> None:
-            write([repr(next(steps) * flow_cfg.tau), *map(repr, state.values.tolist())])
+            write((next(steps) * flow_cfg.tau, *state.values.tolist()))
 
         sink(u0)
         try:
@@ -343,7 +350,7 @@ def cmd_poisson(args, out: Path):
         _write_json(out / "report.json", report)
         outputs = {"report": "report.json"}
         return {"config": cfg, "seed": seed, "outputs": outputs, "failure": failure}, 1
-    _write_indexed(out / "solution.csv", ["vertex", "value"], u.values.tolist())
+    _write_csv(out / "solution.csv", ["vertex", "value"], enumerate(u.values.tolist()))
     _write_json(out / "report.json", asdict(report))
     outputs = {"solution": "solution.csv", "report": "report.json"}
     return {"config": cfg, "seed": seed, "outputs": outputs}, 0

@@ -298,6 +298,12 @@ def dirichlet() -> BoxIndicator:
     return BoxIndicator(0.0, 0.0)
 
 
+def box(lower: float | None, upper: float | None) -> BoxIndicator:
+    """The JSON kind ``box``; a ``null`` end is unbounded, as a JSON
+    output writes an infinite one."""
+    return BoxIndicator(-INF if lower is None else lower, INF if upper is None else upper)
+
+
 def quadratic(beta: float) -> Power:
     """The JSON kind ``quadratic``: beta * s^2 / 2, Power at p = 2."""
     return Power(beta, 2.0)
@@ -316,7 +322,7 @@ _KINDS = {
     "absolute_value": absolute_value,
     "abs": absolute_value,
     "power": Power,
-    "box": BoxIndicator,
+    "box": box,
     "plq": PiecewiseLinearQuadratic,
     "piecewise_linear_quadratic": PiecewiseLinearQuadratic,
 }

@@ -98,7 +98,7 @@ def _report(name: str, slack: np.ndarray, seed: int, tol: float = REL_TOL) -> Ch
 
 
 # ---------------------------------------------------------------------------
-# scalar inequalities
+# the two lattice inequalities
 
 
 def _clamped_pair(a, b, alpha):
@@ -115,45 +115,20 @@ def _envelope_pair(a, b):
     return low, high
 
 
-def check_scalar_inequalities(cfg: SampleConfig) -> list[CheckReport]:
-    """Sampled check of the two scalar inequalities behind the flow theory.
-
-    Clamp contraction: replacing (a_i, b_i) by the pair clamped between the
-    midpoints (a_i+b_i -+ alpha)/2 does not increase the sum of squared
-    differences.  Envelope domination: for b_i >= 0, the pair
-    (min(|a_i|, b_i) sgn a_i, max(|a_i|, b_i)) does not either.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    k = cfg.sample_count
-    a1, a2, b1, b2 = rng.uniform(-1.0, 1.0, size=(4, k))
-    alpha = rng.uniform(0.0, 2.0, size=k)
-    alpha[alpha == 0.0] = 1e-9
-
-    f1, s1 = _clamped_pair(a1, b1, alpha)
-    f2, s2 = _clamped_pair(a2, b2, alpha)
-    lhs = (f1 - f2) ** 2 + (s1 - s2) ** 2
-    rhs = (a1 - a2) ** 2 + (b1 - b2) ** 2
-    clamp = _report("scalar_clamp_contraction", _relative_slack(lhs, rhs), cfg.seed)
-
-    nb1, nb2 = np.abs(b1), np.abs(b2)
-    c1, d1 = _envelope_pair(a1, nb1)
-    c2, d2 = _envelope_pair(a2, nb2)
-    lhs = (c1 - c2) ** 2 + (d1 - d2) ** 2
-    rhs = (a1 - a2) ** 2 + (nb1 - nb2) ** 2
-    envelope = _report("scalar_envelope_domination", _relative_slack(lhs, rhs), cfg.seed)
-    return [clamp, envelope]
-
-
-# ---------------------------------------------------------------------------
-# energy inequalities at a fixed level
-
-
 def _sample_matrix(rng, count, width):
     return rng.uniform(-1.0, 1.0, size=(count, width))
 
 
 def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[CheckReport]:
-    """Level-m clamp-contraction and envelope-domination energy inequalities."""
+    """Sampled check of the two lattice inequalities behind the flow theory,
+    for the level-m energy.
+
+    Clamp contraction: replacing (u, v) by the pair clamped between the
+    midpoints (u + v -+ alpha) / 2 does not increase energy(u) + energy(v).
+    Envelope domination: for w >= 0, the pair (min(|u|, w) sgn u,
+    max(|u|, w)) does not either.  On ``build_level(2, 0)`` (two vertices,
+    one edge, renormalization 1) these are the scalar inequalities.
+    """
     rng = np.random.default_rng(cfg.seed)
     k = cfg.sample_count
     nv = form.graph.vertex_count
@@ -451,6 +426,9 @@ DEFAULT_SAMPLES = {
     "flow": 3,
 }
 SUITE_NAMES = tuple(DEFAULT_SAMPLES)
+#: (N, levels) of the suites that run ``check_energy_inequalities``, level
+#: m with seed ``seed + m``; the scalar suite is the two-point gasket at 0
+ENERGY_LEVELS = {"scalar": (2, (0,)), "energy": (3, (1, 2, 3))}
 
 
 def run_suite(name: str, seed: int = 0, sample_count: int | None = None) -> dict:
@@ -458,14 +436,13 @@ def run_suite(name: str, seed: int = 0, sample_count: int | None = None) -> dict
     if name not in DEFAULT_SAMPLES:
         raise ValueError(f"unknown suite {name!r}")
     cfg = SampleConfig(seed, DEFAULT_SAMPLES[name] if sample_count is None else sample_count)
-    if name == "scalar":
-        reports = check_scalar_inequalities(cfg)
-    elif name == "energy":
+    if name in ENERGY_LEVELS:
+        n, levels = ENERGY_LEVELS[name]
         reports = [
             report
-            for m in (1, 2, 3)
+            for m in levels
             for report in check_energy_inequalities(
-                EnergyForm(build_level(3, m)), SampleConfig(seed + m, cfg.sample_count)
+                EnergyForm(build_level(n, m)), SampleConfig(seed + m, cfg.sample_count)
             )
         ]
     elif name == "perturbed":

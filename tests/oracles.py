@@ -9,6 +9,7 @@ scalar minimization for proximal maps.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -42,6 +43,15 @@ EPS = math.ulp(1.0)
 def bits(values) -> np.ndarray:
     """The float64 bit patterns of ``values``, for bitwise comparison."""
     return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @st.composite
@@ -289,6 +299,31 @@ def bimonotone_oracle(values: np.ndarray, grid: np.ndarray, slack: float = 1e-12
         if s0 >= 0.0 and not le(values[k], values[k + 1]):
             return False
     return True
+
+
+def dominates_on(bhat: RobinSpec, b: RobinSpec, radius: float) -> bool:
+    """The paper's domination condition restricted to [-radius, radius]: for
+    every i, s -> Bhat_i(s) - B_i(|s|) is bi-monotone there (inf - inf
+    counts as inf).
+
+    A flow that is L-infinity contractive never leaves [-R, R] for data
+    bounded by R, so only that range matters.  The differences are taken
+    one float at a time on 401 uniform points and 41 geometric ones near 0,
+    and checked pairwise by ``bimonotone_oracle``.
+    """
+    mags = np.unique(
+        np.concatenate([np.linspace(0.0, radius, 201), np.geomspace(1e-6 * radius, radius, 41)])
+    )
+    grid = np.concatenate([-mags[:0:-1], mags])
+
+    def difference(bh, bb, s):
+        high, low = float(bh(s)), float(bb(abs(s)))
+        return math.inf if high == math.inf else -math.inf if low == math.inf else high - low
+
+    return all(
+        bimonotone_oracle([difference(bh, bb, s) for s in grid.tolist()], grid)
+        for bh, bb in zip(bhat.functionals, b.functionals)
+    )
 
 
 def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-12):

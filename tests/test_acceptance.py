@@ -33,7 +33,6 @@ from gasketflow import (
     builtin_specs,
     check_energy_inequalities,
     check_locality,
-    check_scalar_inequalities,
     cli,
     energy,
     evolve,
@@ -76,7 +75,9 @@ def _graph_form_measure(n=N, m=LEVEL):
 def test_criterion_1_scalar_inequalities():
     with criterion("criterion 1 (scalar inequalities, 1e5 samples, <5s)"):
         start = time.perf_counter()
-        reports = check_scalar_inequalities(SampleConfig(seed=101, sample_count=100_000))
+        # the energy of the two-point gasket at level 0 is (u_0 - u_1)^2
+        form = EnergyForm(build_level(2, 0))
+        reports = check_energy_inequalities(form, SampleConfig(seed=101, sample_count=100_000))
         elapsed = time.perf_counter() - start
         for r in reports:
             assert r.violations == 0, r

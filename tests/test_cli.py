@@ -13,6 +13,8 @@ import pytest
 import gasketflow
 from gasketflow import cli, flow
 
+from oracles import strict_json
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -355,13 +357,18 @@ def test_evolve_failure_at_a_later_step_keeps_the_rows_before_it(tmp_path, capsy
     assert failure["step"] == 3 and failure["iterations"] == 1
 
 
+#: an evolve config whose first step overflows: its residual is inf
+OVERFLOW_DOC = {
+    "N": 3, "m": 2, "spec": [{"kind": "absolute_value", "beta": 1.0}] * 3,
+    "tau": 0.1, "t_end": 0.2,
+    "u0": {"kind": "values", "data": [1e300 if i % 2 else -1e300 for i in range(15)]},
+}
+
+
 @pytest.mark.filterwarnings("error")
 def test_evolve_overflowing_u0_fails_fast(tmp_path, capsys):
-    data = [1e300 if i % 2 else -1e300 for i in range(15)]
-    doc = {
-        "N": 3, "m": 2, "spec": [{"kind": "absolute_value", "beta": 1.0}] * 3,
-        "tau": 0.1, "t_end": 0.2, "u0": {"kind": "values", "data": data},
-    }
+    doc = OVERFLOW_DOC
+    data = doc["u0"]["data"]
     out = tmp_path / "run"
     assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 1
     assert "step 1: boundary residual is not finite" in capsys.readouterr().err
@@ -369,6 +376,42 @@ def test_evolve_overflowing_u0_fails_fast(tmp_path, capsys):
     assert len(read(out / "trajectory.csv").splitlines()) == 2
     failure = json.loads(read(out / "manifest.json"))["failure"]
     assert failure["step"] == 1 and failure["iterations"] < 10
+
+
+def test_json_outputs_write_non_finite_floats_as_null(tmp_path):
+    # every box or dirichlet sample pair of 20 has an infinite energy, so no
+    # slack of theirs is finite: max_slack is -inf
+    out = tmp_path / "verify"
+    args = ["verify", "--suite", "perturbed", "--samples", 20, "--seed", 0, "--out", out]
+    assert run_cli(args) == 0
+    report = strict_json(read(out / "report.json"))
+    assert sorted(r["property"] for r in report["reports"] if r["max_slack"] is None) == [
+        "submodularity[box]",
+        "submodularity[dirichlet]",
+        "sup_clamp[box]",
+        "sup_clamp[dirichlet]",
+    ]
+    strict_json(read(out / "manifest.json"))
+    out = tmp_path / "overflow"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, OVERFLOW_DOC), "--out", out]) == 1
+    assert strict_json(read(out / "manifest.json"))["failure"]["residual"] is None
+
+
+def test_infinite_box_end_is_written_null_and_reruns(tmp_path):
+    # the golden spec with Neumann and Dirichlet spelled as boxes: the
+    # manifest echoes the box R as null ends, which read back as unbounded
+    doc = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc["spec"][1:] = [
+        {"kind": "box", "lower": -float("inf"), "upper": float("inf")},
+        {"kind": "box", "lower": 0, "upper": 0},
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", first]) == 0
+    config = strict_json(read(first / "manifest.json"))["config"]
+    assert config["spec"][1] == {"kind": "box", "lower": None, "upper": None}
+    assert run_cli(["evolve", "--config", write_config(tmp_path, config), "--out", second]) == 0
+    golden = (DATA / "golden_mixed_robin.csv").read_bytes()
+    assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes() == golden
 
 
 def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
@@ -746,9 +789,10 @@ def test_verify_scalar_suite_passes(tmp_path):
     )
     report = json.loads(read(out / "report.json"))
     assert report["violations"] == 0
+    # the energy check on the two-point gasket at level 0
     assert {r["property"] for r in report["reports"]} == {
-        "scalar_clamp_contraction",
-        "scalar_envelope_domination",
+        "energy_clamp_contraction[n=2,m=0]",
+        "energy_envelope_domination[n=2,m=0]",
     }
 
 

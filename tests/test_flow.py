@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from gasketflow import (
@@ -20,6 +20,8 @@ from gasketflow import (
     VertexFunction,
     backward_euler_step,
     build_level,
+    builtin_specs,
+    dominates_condition,
     energy,
     evolve,
     harmonic_function,
@@ -34,7 +36,7 @@ from gasketflow import (
 
 from gasketflow import flow
 from gasketflow.robin import dirichlet, neumann
-from oracles import bits, functionals, poisson_residual, resolvent_oracle
+from oracles import bits, dominates_on, functionals, poisson_residual, resolvent_oracle
 
 INF = math.inf
 
@@ -323,6 +325,44 @@ def test_domination_sandwich_small_ensemble():
             s_dir = evolve(form, measure, dirichlet, VertexFunction(g, u0), cfg).values_matrix()
             assert np.max(np.abs(s_mid_u) - s_neu) <= 1e-8
             assert np.max(np.abs(s_dir) - s_mid_v) <= 1e-8
+
+
+BUILTIN_SPECS = st.sampled_from(list(builtin_specs(3).values()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(bhat=BUILTIN_SPECS, b=BUILTIN_SPECS, seed=st.integers(0, 2**32 - 1))
+@example(bhat=RobinSpec.uniform(Power(2.0, 2.0), 3), b=RobinSpec.uniform(Power(1.0, 2.0), 3), seed=0)
+@example(bhat=RobinSpec.uniform(Power(1.0, 2.0), 3), b=RobinSpec.uniform(Power(2.0, 2.0), 3), seed=0)
+def test_domination_condition_refereed_by_flows(bhat, b, seed):
+    # |T_bhat u0| <= T_b |u0| wherever the condition holds on the range of
+    # the data; where it fails the gap is only recorded, since the
+    # condition is sufficient, not necessary
+    g, form, measure = _setup(m=2)
+    cfg = FlowConfig(tau=0.05, t_end=0.5, tol=1e-11)
+    u0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (16, g.vertex_count))
+    s_hat = evolve(form, measure, bhat, u0, cfg).values
+    s_b = evolve(form, measure, b, np.abs(u0), cfg).values
+    gap = float(np.max(np.abs(s_hat) - s_b))
+    if dominates_on(bhat, b, float(np.max(np.abs(u0)))):
+        assert gap <= 10.0 * cfg.tol
+    else:
+        target(gap, label="domination gap where the condition fails")
+
+
+def test_restricted_condition_matches_the_library_grid_at_its_range():
+    # the library's grid spans [-10, 10]: the oracle on that range agrees on
+    # every builtin pair, and on [-1, 1] it admits absolute_value over
+    # quadratic, whose difference |s| - s^2/2 turns down only past 1
+    specs = builtin_specs(3)
+    for bhat in specs.values():
+        for b in specs.values():
+            assert dominates_on(bhat, b, 10.0) == dominates_condition(bhat, b)
+    assert dominates_on(specs["absolute_value"], specs["quadratic"], 1.0)
+    assert not dominates_condition(specs["absolute_value"], specs["quadratic"])
+    quadratic_2 = RobinSpec.uniform(Power(2.0, 2.0), 3)
+    assert dominates_on(quadratic_2, specs["quadratic"], 1.0)
+    assert not dominates_on(specs["quadratic"], quadratic_2, 1.0)
 
 
 def test_flow_properties_tetrahedral_gasket():

@@ -1,4 +1,3 @@
-import json
 from dataclasses import asdict
 
 import numpy as np
@@ -10,19 +9,19 @@ from gasketflow import (
     EnergyForm,
     RobinSpec,
     SampleConfig,
+    batch_energy,
     build_level,
     builtin_specs,
     check_energy_inequalities,
     check_flow_properties,
     check_locality,
     check_perturbed_criteria,
-    check_scalar_inequalities,
     run_suite,
 )
-from gasketflow import verify
-from gasketflow.verify import _clamped_pair, _envelope_pair, _relative_slack
+from gasketflow import cli, verify
+from gasketflow.verify import SUITE_NAMES, _clamped_pair, _envelope_pair, _relative_slack
 
-from oracles import flow_properties_reference
+from oracles import flow_properties_reference, strict_json
 
 
 def test_scalar_trivial_tuple_holds_with_equality():
@@ -42,13 +41,18 @@ def test_scalar_worked_example():
     lhs = (f[0] - f[1]) ** 2 + (s[0] - s[1]) ** 2
     rhs = (a[0] - a[1]) ** 2 + (b[0] - b[1]) ** 2
     assert lhs <= rhs + 1e-15
+    # the two-point gasket at level 0 has this energy, which the scalar suite checks
+    form = EnergyForm(build_level(2, 0))
+    assert batch_energy(form, f) + batch_energy(form, s) == lhs
+    assert batch_energy(form, a) + batch_energy(form, b) == rhs
 
 
 def test_scalar_suite_clean():
-    reports = check_scalar_inequalities(SampleConfig(seed=1, sample_count=20_000))
+    form = EnergyForm(build_level(2, 0))
+    reports = check_energy_inequalities(form, SampleConfig(seed=1, sample_count=20_000))
     assert [r.property for r in reports] == [
-        "scalar_clamp_contraction",
-        "scalar_envelope_domination",
+        "energy_clamp_contraction[n=2,m=0]",
+        "energy_envelope_domination[n=2,m=0]",
     ]
     for r in reports:
         assert r.violations == 0
@@ -144,8 +148,9 @@ def test_flow_properties_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_reports_are_reproducible():
-    a = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
-    b = check_scalar_inequalities(SampleConfig(seed=9, sample_count=5000))
+    form = EnergyForm(build_level(2, 0))
+    a = check_energy_inequalities(form, SampleConfig(seed=9, sample_count=5000))
+    b = check_energy_inequalities(form, SampleConfig(seed=9, sample_count=5000))
     assert [asdict(r) for r in a] == [asdict(r) for r in b]
 
 
@@ -169,12 +174,22 @@ def test_relative_slack_inf_semantics():
     assert slack[3] == 0.0
 
 
-def test_run_suite_json_ready():
-    result = run_suite("scalar", seed=0, sample_count=1000)
-    text = json.dumps(result)
-    parsed = json.loads(text)
-    assert parsed["suite"] == "scalar"
+#: small sample counts that keep each suite under a second
+JSON_READY_SAMPLES = {"scalar": 1000, "energy": 50, "perturbed": 20, "locality": 5, "flow": 1}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suite_json_ready(tmp_path, name):
+    # at 20 samples the perturbed suite holds a max_slack of -inf: the
+    # writer spells it null, so the report is strict JSON
+    result = run_suite(name, seed=0, sample_count=JSON_READY_SAMPLES[name])
+    cli._write_json(tmp_path / "report.json", result)
+    parsed = strict_json((tmp_path / "report.json").read_text())
+    assert parsed["suite"] == name
     assert parsed["violations"] == 0
+
+
+def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
 
