@@ -7,8 +7,10 @@ configuration and seed: outputs are byte-reproducible.  ``main`` owns the
 run protocol: it times the command and, once the outputs are written,
 writes ``manifest.json`` echoing the configuration, with a ``--tol``
 override recorded as ``config.tol`` and the seed of a random ``u0`` / ``f``
-as its ``seed`` (the manifest's ``timings``, wall clock and peak memory,
-are the only non-reproducible bytes).  Invalid input exits 2 with an
+as its ``seed`` (the manifest's ``timings``, wall clock, peak memory and
+the time spent writing CSV rows, are the only non-reproducible bytes).
+Every CSV float is spelled exactly as Python's ``repr`` spells it.
+Invalid input exits 2 with an
 ``error:`` message and writes nothing; that includes a config that is not UTF-8, a boolean
 where a spec parameter wants a number, and an ``--out`` that cannot be a
 directory.  Only the contents of ``u0`` / ``f`` are checked after the
@@ -34,6 +36,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 try:
     import resource
@@ -78,22 +81,71 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, text + "\n")
 
 
+def _reprs(values: np.ndarray) -> str:
+    """The float64 ``values``, comma-separated, each spelled as ``repr``
+    spells it: the shortest text that reads back to the same float.
+
+    orjson prints the same digits, and the same text for ±0 and for
+    1e-4 <= |x| < 1e16.  It spells the rest otherwise (``1e16`` for
+    ``1e+16``, ``null`` for nan and inf), so those go through ``repr``.
+    """
+    magnitude = np.abs(values)
+    odd = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)
+    text = orjson.dumps(values[~odd], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    if not odd.any():
+        return text
+    spelled = list(map(repr, values[odd].tolist()))
+    if not text:  # every value went through repr: nothing to merge
+        return ",".join(spelled)
+    fields = np.empty(values.size, dtype=object)
+    fields[~odd] = text.split(",")
+    fields[odd] = spelled
+    return ",".join(fields.tolist())
+
+
+#: seconds spent formatting and writing CSV rows in this command, once it
+#: has written a row; ``main`` records them as the manifest's ``write_s``
+_csv_timings: dict[str, float] = {}
+
+
+@contextlib.contextmanager
+def _timed_rows():
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed = time.perf_counter() - started
+        _csv_timings["write_s"] = _csv_timings.get("write_s", 0.0) + elapsed
+
+
+def _open_csv(path: Path, header: list[str]):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w", newline="\n")
+    fh.write(",".join(header) + "\n")
+    return fh
+
+
 @contextlib.contextmanager
 def _csv_writer(path: Path, header: list[str]):
-    """Write the header and yield a function that writes each row of
-    numbers as it is produced.  Each is printed by ``repr``, so the rows
-    must hold Python ints and floats (``array.tolist()``): the shortest
-    round-trip form keeps golden files stable."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        yield lambda row: fh.write(",".join(map(repr, row)) + "\n")
+    """Write the header and yield a function that writes each row, a 1-D
+    float64 array, as it is produced.  Every value is spelled as ``repr``
+    spells it (``_reprs``): the shortest round-trip form keeps golden files
+    stable."""
+    with _open_csv(path, header) as fh:
+
+        def write(row: np.ndarray) -> None:
+            with _timed_rows():
+                fh.write(_reprs(row) + "\n")
+
+        yield write
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with _csv_writer(path, header) as write:
-        for row in rows:
-            write(row)
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """Write one row per index i: i, then entry i of each float64 column,
+    spelled as by ``_csv_writer``."""
+    with _open_csv(path, header) as fh, _timed_rows():
+        fields = [_reprs(np.asarray(c, dtype=np.float64)).split(",") for c in columns]
+        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*fields)))
 
 
 def _load_config(path: str) -> dict:
@@ -265,9 +317,8 @@ def cmd_gasket(args, out: Path):
     _write_json(out / "graph.json", graph.to_json_dict())
     coords = vertex_coordinates(graph)
     header = ["index"] + [f"x_{k + 1}" for k in range(graph.n - 1)]
-    rows = ((i, *row) for i, row in enumerate(coords.tolist()))
-    _write_csv(out / "coordinates.csv", header, rows)
-    _write_csv(out / "masses.csv", ["index", "mass"], enumerate(measure.masses.tolist()))
+    _write_csv(out / "coordinates.csv", header, *coords.T)
+    _write_csv(out / "masses.csv", ["index", "mass"], measure.masses)
     config = {"N": args.n, "m": args.m, "weights": list(weights.weights)}
     outputs = {"graph": "graph.json", "coordinates": "coordinates.csv", "masses": "masses.csv"}
     return {"config": config, "seed": None, "outputs": outputs}, 0
@@ -277,8 +328,8 @@ def cmd_extend(args, out: Path):
     raw = _comma_list(args.boundary, "--boundary")
     boundary = _numbers(raw, "--boundary", args.n).tolist()
     u = harmonic_function(build_level(args.n, args.m), boundary)
-    _write_csv(out / "extension.csv", ["vertex", "value"], enumerate(u.values.tolist()))
-    _write_csv(out / "profile.csv", ["m", "energy"], enumerate(energy_profile(u)))
+    _write_csv(out / "extension.csv", ["vertex", "value"], u.values)
+    _write_csv(out / "profile.csv", ["m", "energy"], energy_profile(u))
     config = {"N": args.n, "m": args.m, "boundary": boundary}
     outputs = {"extension": "extension.csv", "profile": "profile.csv"}
     return {"config": config, "seed": None, "outputs": outputs}, 0
@@ -310,7 +361,7 @@ def cmd_evolve(args, out: Path):
     with _csv_writer(out / "trajectory.csv", header) as write:
 
         def sink(state: VertexFunction) -> None:
-            write((next(steps) * flow_cfg.tau, *state.values.tolist()))
+            write(np.concatenate(([next(steps) * flow_cfg.tau], state.values)))
 
         sink(u0)
         try:
@@ -350,7 +401,7 @@ def cmd_poisson(args, out: Path):
         _write_json(out / "report.json", report)
         outputs = {"report": "report.json"}
         return {"config": cfg, "seed": seed, "outputs": outputs, "failure": failure}, 1
-    _write_csv(out / "solution.csv", ["vertex", "value"], enumerate(u.values.tolist()))
+    _write_csv(out / "solution.csv", ["vertex", "value"], u.values)
     _write_json(out / "report.json", asdict(report))
     outputs = {"solution": "solution.csv", "report": "report.json"}
     return {"config": cfg, "seed": seed, "outputs": outputs}, 0
@@ -430,6 +481,7 @@ def main(argv=None) -> int:
     if getattr(args, "m", None) is not None and args.m < 0:
         parser.error("--m must be >= 0")
     started = time.perf_counter()
+    _csv_timings.clear()
     out = Path(args.out)
     try:
         # output paths are relative to the manifest so reruns compare bitwise
@@ -441,6 +493,7 @@ def main(argv=None) -> int:
             "timings": {
                 "wall_s": time.perf_counter() - started,
                 "peak_rss_mb": _peak_rss_mb(),
+                **_csv_timings,
             },
         })
         return code

@@ -178,13 +178,17 @@ def builtin_specs(n: int) -> dict[str, RobinSpec]:
 
 
 def _with_feasible_boundary(values: np.ndarray, spec: RobinSpec, graph, rng) -> np.ndarray:
-    """Zero out boundary columns under pinned functionals for some samples
-    so the finite branches of indicator kinds are exercised too."""
+    """Move the boundary values of about half the samples onto the domain
+    of their functional, by its prox (for an indicator, the projection), so
+    those samples have finite energy and the finite branches of indicator
+    kinds are exercised too."""
     out = values.copy()
+    feasible = np.flatnonzero(rng.random(values.shape[0]) < 0.5)
     for b, idx in zip(spec.functionals, graph.boundary):
-        if b.curvature == INF:
-            feasible = rng.random(values.shape[0]) < 0.5
-            out[feasible, idx] = 0.0
+        column = out[feasible, idx]
+        outside = np.isinf(b(column))
+        column[outside] = b.prox(1.0, column[outside])
+        out[feasible, idx] = column
     return out
 
 

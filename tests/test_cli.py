@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gasketflow
 from gasketflow import cli, flow
@@ -68,12 +71,56 @@ def test_manifest_records_wall_time_and_peak_memory(tmp_path, monkeypatch, has_r
         monkeypatch.setattr(cli, "resource", None)
     assert run_cli(["gasket", "--n", 3, "--m", 1, "--out", tmp_path]) == 0
     timings = json.loads(read(tmp_path / "manifest.json"))["timings"]
-    assert sorted(timings) == ["peak_rss_mb", "wall_s"] and timings["wall_s"] > 0
+    assert sorted(timings) == ["peak_rss_mb", "wall_s", "write_s"]
+    assert 0 < timings["write_s"] < timings["wall_s"]
     if has_resource:
         # this interpreter has numpy and scipy loaded: tens of MiB, not KiB or GiB
         assert 10 < timings["peak_rss_mb"] < 4096
     else:
         assert timings["peak_rss_mb"] is None
+    # verify writes no CSV, so its manifest has no write time
+    out = tmp_path / "verify"
+    assert run_cli(["verify", "--suite", "scalar", "--samples", 10, "--out", out]) == 0
+    assert sorted(json.loads(read(out / "manifest.json"))["timings"]) == ["peak_rss_mb", "wall_s"]
+
+
+# ---------------------------------------------------------------------------
+# the CSV float format: every float as repr spells it
+
+
+def joined_reprs(x: np.ndarray) -> str:
+    return ",".join(map(repr, x.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)))
+def test_reprs_match_repr_on_any_floats(x):
+    # st.floats draws subnormals, -0.0, nan and both infinities
+    assert cli._reprs(x) == joined_reprs(x)
+
+
+def test_reprs_match_repr_on_random_bits_and_scales():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.integers(-8, 20, 50_000)
+    for x in (bits, scaled, rng.uniform(-1.0, 1.0, 50_000)):
+        assert cli._reprs(x) == joined_reprs(x)
+
+
+def test_reprs_match_repr_at_the_edges_of_the_orjson_range():
+    big = np.finfo(np.float64).max
+    ends = [1e-4, 1e16, -1e-4, -1e16]
+    near = [np.nextafter(e, to) for e in ends for to in (0.0, 2 * e)]
+    x = np.array([*ends, *near, 5e-324, -5e-324, big, -big, 0.0, -0.0, 3e-5, np.nan, np.inf, -np.inf])
+    assert cli._reprs(x) == joined_reprs(x)
+
+
+def test_reprs_match_repr_when_every_value_is_spelled_by_repr():
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-1.0, 1.0, 1000) * np.where(np.arange(1000) % 2, 1e-7, 1e20)
+    text = cli._reprs(x)
+    assert text == joined_reprs(x)
+    assert all("e" in field for field in text.split(","))
 
 
 def test_gasket_level0_unit_distances(tmp_path):
@@ -379,18 +426,16 @@ def test_evolve_overflowing_u0_fails_fast(tmp_path, capsys):
 
 
 def test_json_outputs_write_non_finite_floats_as_null(tmp_path):
-    # every box or dirichlet sample pair of 20 has an infinite energy, so no
-    # slack of theirs is finite: max_slack is -inf
+    # about a quarter of the sample pairs have both boundaries moved onto
+    # the box or {0}, so even 20 samples give these reports finite slacks
     out = tmp_path / "verify"
     args = ["verify", "--suite", "perturbed", "--samples", 20, "--seed", 0, "--out", out]
     assert run_cli(args) == 0
     report = strict_json(read(out / "report.json"))
-    assert sorted(r["property"] for r in report["reports"] if r["max_slack"] is None) == [
-        "submodularity[box]",
-        "submodularity[dirichlet]",
-        "sup_clamp[box]",
-        "sup_clamp[dirichlet]",
-    ]
+    slack = {r["property"]: r["max_slack"] for r in report["reports"]}
+    for name in ("submodularity", "sup_clamp"):
+        for spec in ("box", "dirichlet"):
+            assert slack[f"{name}[{spec}]"] is not None
     strict_json(read(out / "manifest.json"))
     out = tmp_path / "overflow"
     assert run_cli(["evolve", "--config", write_config(tmp_path, OVERFLOW_DOC), "--out", out]) == 1

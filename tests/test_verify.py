@@ -10,6 +10,7 @@ from gasketflow import (
     RobinSpec,
     SampleConfig,
     batch_energy,
+    batch_perturbed_energy,
     build_level,
     builtin_specs,
     check_energy_inequalities,
@@ -19,7 +20,13 @@ from gasketflow import (
     run_suite,
 )
 from gasketflow import cli, verify
-from gasketflow.verify import SUITE_NAMES, _clamped_pair, _envelope_pair, _relative_slack
+from gasketflow.verify import (
+    SUITE_NAMES,
+    _clamped_pair,
+    _envelope_pair,
+    _relative_slack,
+    _with_feasible_boundary,
+)
 
 from oracles import flow_properties_reference, strict_json
 
@@ -93,6 +100,17 @@ def test_perturbed_criteria_clean():
     assert any(name.startswith("envelope_domination[") for name in names)
     for r in reports:
         assert r.violations == 0, r
+
+
+@pytest.mark.parametrize("name", ["box", "dirichlet", "mixed"])
+def test_feasible_boundary_gives_half_the_samples_finite_energy(name):
+    # one coin per sample: the boundary of about half the rows is moved
+    # onto the domain, so the finite branches are checked on that many
+    graph = build_level(3, 2)
+    spec = builtin_specs(3)[name]
+    rng = np.random.default_rng(0)
+    u = _with_feasible_boundary(rng.uniform(-1.0, 1.0, (1000, graph.vertex_count)), spec, graph, rng)
+    assert np.sum(np.isfinite(batch_perturbed_energy(EnergyForm(graph), spec, u))) >= 450
 
 
 def test_locality_clean_across_specs():
@@ -180,8 +198,8 @@ JSON_READY_SAMPLES = {"scalar": 1000, "energy": 50, "perturbed": 20, "locality":
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_run_suite_json_ready(tmp_path, name):
-    # at 20 samples the perturbed suite holds a max_slack of -inf: the
-    # writer spells it null, so the report is strict JSON
+    # a max_slack of -inf (no finite sample pair) would be spelled null, so
+    # the report is strict JSON
     result = run_suite(name, seed=0, sample_count=JSON_READY_SAMPLES[name])
     cli._write_json(tmp_path / "report.json", result)
     parsed = strict_json((tmp_path / "report.json").read_text())
