@@ -48,10 +48,8 @@ from .robin import (
     Power,
     RobinSpec,
     batch_perturbed_energy,
-    dominates_condition,
     functional_from_json,
     perturbed_energy,
-    totally_dominates_condition,
 )
 from .verify import (
     CheckReport,

@@ -408,73 +408,3 @@ def batch_perturbed_energy(form: EnergyForm, spec: RobinSpec, values: np.ndarray
     for b, idx in zip(spec.functionals, form.graph.boundary):
         total = total + b(values[..., idx])
     return total
-
-
-def extended_difference(a, b):
-    """a - b elementwise on [0, inf] with the convention inf - inf = inf.
-
-    Only used when checking bi-monotonicity of differences of boundary
-    functionals; ordinary arithmetic applies everywhere else.
-    """
-    a, b = _floats(a), _floats(b)
-    with np.errstate(invalid="ignore"):
-        return np.where(a == INF, INF, np.where(b == INF, -INF, a - b))[()]
-
-
-BIMONOTONE_SLACK = 1e-12
-
-
-def default_check_grid() -> np.ndarray:
-    """The 83-point domination grid: 0 and +-41 magnitudes spaced
-    geometrically from 1e-6 to 10."""
-    mags = np.geomspace(1e-6, 10.0, 41)
-    return np.concatenate([-mags[::-1], [0.0], mags])
-
-
-def _le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a <= b elementwise, with relative slack, on the extended reals."""
-    with np.errstate(all="ignore"):
-        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        finite_le = (a != INF) & (b != -INF) & (a <= b + BIMONOTONE_SLACK * scale)
-    return (b == INF) | (a == -INF) | finite_le
-
-
-def is_bimonotone(values: np.ndarray, grid: np.ndarray) -> bool:
-    """Decreasing left of 0 and increasing right of 0, up to relative slack."""
-    grid = _floats(grid)
-    values = _floats(values)
-    order = np.argsort(grid, kind="stable")
-    grid, values = grid[order], values[order]
-    left, right = values[:-1], values[1:]
-    decreasing = ~(grid[1:] <= 0.0) | _le(right, left)
-    increasing = ~(grid[:-1] >= 0.0) | _le(left, right)
-    return bool(np.all(decreasing & increasing))
-
-
-def _differences_bimonotone(bhat: RobinSpec, b: RobinSpec, signs) -> bool:
-    """Whether s -> Bhat_i(s) - B_i(sign * |s|) is bi-monotone on the
-    default check grid for every i and every sign."""
-    if bhat.n != b.n:
-        raise DomainMismatchError("specs have different lengths")
-    grid = default_check_grid()
-    mags = np.abs(grid)
-    return all(
-        is_bimonotone(extended_difference(bh(grid), bb(sign * mags)), grid)
-        for sign in signs
-        for bh, bb in zip(bhat.functionals, b.functionals)
-    )
-
-
-def dominates_condition(bhat: RobinSpec, b: RobinSpec) -> bool:
-    """Grid check that s -> Bhat_i(s) - B_i(|s|) is bi-monotone for every i.
-
-    This is the sufficient condition under which the flow generated by the
-    Bhat-perturbed energy is dominated by the flow of the B-perturbed one.
-    """
-    return _differences_bimonotone(bhat, b, (1.0,))
-
-
-def totally_dominates_condition(bhat: RobinSpec, b: RobinSpec) -> bool:
-    """Grid check for the two-sided (total) domination condition: the
-    differences against B_i(-|s|) are bi-monotone too."""
-    return _differences_bimonotone(bhat, b, (1.0, -1.0))

@@ -301,10 +301,11 @@ def bimonotone_oracle(values: np.ndarray, grid: np.ndarray, slack: float = 1e-12
     return True
 
 
-def dominates_on(bhat: RobinSpec, b: RobinSpec, radius: float) -> bool:
+def dominates_on(bhat: RobinSpec, b: RobinSpec, radius: float, signs=(1.0,)) -> bool:
     """The paper's domination condition restricted to [-radius, radius]: for
-    every i, s -> Bhat_i(s) - B_i(|s|) is bi-monotone there (inf - inf
-    counts as inf).
+    every i and every sign in ``signs``, s -> Bhat_i(s) - B_i(sign * |s|) is
+    bi-monotone there (inf - inf counts as inf).  ``signs=(1.0, -1.0)`` is
+    the two-sided condition of total domination.
 
     A flow that is L-infinity contractive never leaves [-R, R] for data
     bounded by R, so only that range matters.  The differences are taken
@@ -316,13 +317,14 @@ def dominates_on(bhat: RobinSpec, b: RobinSpec, radius: float) -> bool:
     )
     grid = np.concatenate([-mags[:0:-1], mags])
 
-    def difference(bh, bb, s):
-        high, low = float(bh(s)), float(bb(abs(s)))
+    def difference(bh, bb, s, sign):
+        high, low = float(bh(s)), float(bb(sign * abs(s)))
         return math.inf if high == math.inf else -math.inf if low == math.inf else high - low
 
     return all(
-        bimonotone_oracle([difference(bh, bb, s) for s in grid.tolist()], grid)
-        for bh, bb in zip(bhat.functionals, b.functionals)
+        bimonotone_oracle([difference(bh, bb, s, sign) for s in grid.tolist()], grid)
+        for sign in signs
+        for bh, bb in zip(bhat.functionals, b.functionals, strict=True)
     )
 
 
@@ -351,6 +353,23 @@ def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-1
             return w
         v = w
     return v
+
+
+def linear_semigroup(form, measure, spec, u0: np.ndarray, t: float) -> np.ndarray:
+    """The exact flow at time t of a spec whose every functional is
+    d_i s^2 / 2: u(t) = exp(-t M^-1 (2K + D)) u0 on the free coordinates,
+    by ``eigh`` of the symmetric M^-1/2 (2K + D) M^-1/2.  A pinned boundary
+    value (d_i = inf) is 0 for t > 0."""
+    k_mat = stiffness_matrix(form).toarray()
+    d = np.zeros(form.graph.vertex_count)
+    d[list(form.graph.boundary)] = [b.curvature for b in spec.functionals]
+    free = np.isfinite(d)
+    root = np.sqrt(measure.masses[free])
+    a_mat = (2.0 * k_mat + np.diag(np.where(free, d, 0.0)))[free][:, free]
+    lam, q = np.linalg.eigh(a_mat / root[:, None] / root[None, :])
+    u = np.zeros(len(d))
+    u[free] = (q @ (np.exp(-t * lam) * (q.T @ (root * u0[free])))) / root
+    return u
 
 
 def poisson_residual(form, measure, spec, f_values, u_values) -> float:

@@ -21,7 +21,6 @@ from gasketflow import (
     backward_euler_step,
     build_level,
     builtin_specs,
-    dominates_condition,
     energy,
     evolve,
     harmonic_function,
@@ -31,12 +30,20 @@ from gasketflow import (
     perturbed_energy,
     poisson_solve,
     restrict,
+    stiffness_matrix,
     vertex_measure,
 )
 
 from gasketflow import flow
 from gasketflow.robin import dirichlet, neumann
-from oracles import bits, dominates_on, functionals, poisson_residual, resolvent_oracle
+from oracles import (
+    bits,
+    dominates_on,
+    functionals,
+    linear_semigroup,
+    poisson_residual,
+    resolvent_oracle,
+)
 
 INF = math.inf
 
@@ -70,10 +77,14 @@ def test_config_validation():
         dict(tau=0.1, t_end=math.nan),
         dict(tau=0.1, t_end=1.0, tol=math.nan),
         dict(tau=INF, t_end=INF),
+        # t_end / tau is inf, which n_steps cannot round
+        dict(tau=1e-320, t_end=0.5),
+        dict(tau=0.1, t_end=1e308),
     ):
         with pytest.raises(ConfigError):
             FlowConfig(**bad)
     assert FlowConfig(tau=0.25, t_end=1.0).n_steps == 4
+    assert FlowConfig(tau=1e-300, t_end=1.0).n_steps > 10**299
 
 
 def test_neumann_step_fixes_constants():
@@ -350,16 +361,16 @@ def test_domination_condition_refereed_by_flows(bhat, b, seed):
         target(gap, label="domination gap where the condition fails")
 
 
-def test_restricted_condition_matches_the_library_grid_at_its_range():
-    # the library's grid spans [-10, 10]: the oracle on that range agrees on
-    # every builtin pair, and on [-1, 1] it admits absolute_value over
-    # quadratic, whose difference |s| - s^2/2 turns down only past 1
+def test_condition_depends_on_the_range_of_the_data():
+    # a condition that holds on [-10, 10] holds on the narrower [-1, 1];
+    # the converse fails for absolute_value over quadratic, whose difference
+    # |s| - s^2/2 turns down only past 1
     specs = builtin_specs(3)
     for bhat in specs.values():
         for b in specs.values():
-            assert dominates_on(bhat, b, 10.0) == dominates_condition(bhat, b)
+            assert dominates_on(bhat, b, 1.0) or not dominates_on(bhat, b, 10.0)
     assert dominates_on(specs["absolute_value"], specs["quadratic"], 1.0)
-    assert not dominates_condition(specs["absolute_value"], specs["quadratic"])
+    assert not dominates_on(specs["absolute_value"], specs["quadratic"], 10.0)
     quadratic_2 = RobinSpec.uniform(Power(2.0, 2.0), 3)
     assert dominates_on(quadratic_2, specs["quadratic"], 1.0)
     assert not dominates_on(specs["quadratic"], quadratic_2, 1.0)
@@ -397,6 +408,39 @@ def test_first_order_consistency_richardson():
     num = np.linalg.norm(coarse - mid)
     den = np.linalg.norm(mid - fine)
     assert 1.5 <= num / den <= 3.0
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 4), (4, 3)])
+def test_linear_flow_converges_to_the_exact_semigroup(n, m):
+    # quadratic / neumann / dirichlet (and quadratic(0.5) at N = 4) has the
+    # exact flow exp(-t M^-1 (2K + D)) u0: halving tau halves the error, and
+    # the Richardson value 2 u_(tau/2) - u_tau is second order
+    g, form, measure = _setup(n=n, m=m)
+    spec = RobinSpec((Power(1.0, 2.0), neumann(), dirichlet(), Power(0.5, 2.0))[:n])
+    u0 = np.random.default_rng(1).uniform(-1.0, 1.0, g.vertex_count)
+    exact = linear_semigroup(form, measure, spec, u0, 0.5)
+    finals = [
+        evolve(form, measure, spec, VertexFunction(g, u0), FlowConfig(tau, 0.5, tol=1e-12))
+        .states[-1]
+        .values
+        for tau in 0.0125 / 2.0 ** np.arange(5)
+    ]
+    errors = [np.max(np.abs(u - exact)) for u in finals]
+    richardson = [np.max(np.abs(2.0 * b - a - exact)) for a, b in zip(finals, finals[1:])]
+    for errs, low, high in ((errors, 1.9, 2.2), (richardson, 3.7, 4.3)):
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(low <= r <= high for r in ratios), ratios
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n, top in ((3, 9), (4, 5), (5, 3)) for m in range(1, top + 1)]
+)
+def test_boundary_schur_complement_is_the_level_0_stiffness(n, m):
+    # the trace of the level-m energy on the boundary is the level-0 energy
+    g = build_level(n, m)
+    s_mat = flow._Operator(stiffness_matrix(EnergyForm(g)), g).s_mat
+    level_0 = stiffness_matrix(EnergyForm(build_level(n, 0))).toarray()
+    assert np.max(np.abs(s_mat - level_0)) <= 1e-10
 
 
 @pytest.mark.parametrize("n, top", [(3, 8), (4, 7)])
