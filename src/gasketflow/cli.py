@@ -36,7 +36,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 try:
     import resource
@@ -88,7 +87,10 @@ def _reprs(values: np.ndarray) -> str:
     orjson prints the same digits, and the same text for ±0 and for
     1e-4 <= |x| < 1e16.  It spells the rest otherwise (``1e16`` for
     ``1e+16``, ``null`` for nan and inf), so those go through ``repr``.
+    It is imported here, so commands that write no CSV never load it.
     """
+    import orjson
+
     magnitude = np.abs(values)
     odd = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)
     text = orjson.dumps(values[~odd], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()

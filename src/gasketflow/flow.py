@@ -413,7 +413,11 @@ def poisson_solve(
     this is the exact discrete Robin condition.
 
     Pure Neumann specs require a mu-mean-zero source and return the
-    mu-mean-zero solution (the constant gauge is fixed).
+    mu-mean-zero solution (the constant gauge is fixed).  In general,
+    along the constants u = s the objective grows like
+    sum_i B_i(s) - s (f, 1)_mu, so a source whose mean outgrows the sum of
+    the penalties' ``slopes`` in its direction has no minimizer; both are
+    refused with a DomainMismatchError before the solve.
     """
     _check_solver_controls(tol, max_inner_iters)
     _check_domains(form, measure, spec)
@@ -421,14 +425,18 @@ def poisson_solve(
         raise DomainMismatchError("source does not live on the form's graph")
     graph = form.graph
     pure_neumann = all(b.curvature == 0.0 for b in spec.functionals)
-    compatibility = None
-    if pure_neumann:
-        compatibility = mean(measure, f)
-        if abs(compatibility) > 1e-9 * (1.0 + l2_norm(measure, f)):
-            raise DomainMismatchError(
-                "pure Neumann problem needs a mu-mean-zero source, got mean "
-                f"{compatibility}"
-            )
+    total, slack = mean(measure, f), 1e-9 * (1.0 + l2_norm(measure, f))
+    if pure_neumann and abs(total) > slack:
+        raise DomainMismatchError(
+            f"pure Neumann problem needs a mu-mean-zero source, got mean {total}"
+        )
+    growth = sum(b.slopes[int(total > 0)] for b in spec.functionals)
+    if growth < abs(total) - slack:
+        raise DomainMismatchError(
+            f"no minimizer: the source has mean {total}, but the boundary penalties "
+            f"grow at slope {growth} toward {'+' if total > 0 else '-'}inf, so the "
+            "objective is unbounded below along the constants"
+        )
     op = _Operator(stiffness_matrix(form), graph)
     rhs = (measure.masses * f.values)[None]
     values, c, iters = op.solve(
@@ -443,7 +451,7 @@ def poisson_solve(
         kkt_residual=float(kkt[0]),
         boundary_residuals=tuple(boundary_res[0].tolist()),
         interior_residual=float(interior[0]),
-        compatibility=compatibility,
+        compatibility=total if pure_neumann else None,
         gauged=pure_neumann,
     )
     return VertexFunction(graph, values[0]), report

@@ -50,6 +50,13 @@ class BoundaryFunctional:
     #: or None when B is not of that form; kinds that can be override it
     curvature: float | None = None
 
+    @property
+    def slopes(self) -> tuple[float, float]:
+        """The growth rates lim B(-s)/s and lim B(s)/s as s -> inf, in
+        [0, inf]: a Poisson source whose mean outgrows them along the
+        constants leaves the solve without a minimizer."""
+        raise NotImplementedError
+
     def __call__(self, s):
         """Evaluate elementwise, in [0, inf]; a scalar gives a numpy float64."""
         raise NotImplementedError
@@ -118,6 +125,10 @@ class Power(BoundaryFunctional):
     @property
     def curvature(self):
         return self.beta if self.p == 2.0 else None
+
+    @property
+    def slopes(self):
+        return (self.beta, self.beta) if self.p == 1.0 else (INF, INF)
 
     def _root(self, lam: float, x: float) -> float:
         """The root rho of rho + lam*beta*rho^q = x, q = p - 1, for x > 0.
@@ -214,6 +225,10 @@ class BoxIndicator(BoundaryFunctional):
     def curvature(self):
         return {(-INF, INF): 0.0, (0.0, 0.0): INF}.get((self.lower, self.upper))
 
+    @property
+    def slopes(self):
+        return (0.0 if self.lower == -INF else INF, 0.0 if self.upper == INF else INF)
+
     def _subgradients(self, s):
         # below the box lo = inf and above it hi = -inf: infinitely far
         lo = np.where(s > self.lower, 0.0, np.where(s == self.lower, -INF, INF))
@@ -275,6 +290,11 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
     @property
     def curvature(self):
         return None if self.breakpoints else self.kappa
+
+    @property
+    def slopes(self):
+        slope = INF if self.kappa > 0 else sum(w for _, w in self.breakpoints)
+        return (slope, slope)
 
     def _subgradients(self, s):
         lo = hi = self.kappa * s

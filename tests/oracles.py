@@ -355,21 +355,30 @@ def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-1
     return v
 
 
+def form_semigroup(form, measure, q: np.ndarray, t: float, pinned=()) -> np.ndarray:
+    """The dense V x V semigroup T(t) = exp(-t M^-1 (2K + Q)), with Q the
+    symmetric N x N ``q`` on the boundary values, by ``eigh`` of the
+    symmetric M^-1/2 (2K + Q) M^-1/2.  The boundary values listed in
+    ``pinned`` are held at 0 (Dirichlet): their rows and columns of T are 0."""
+    boundary = list(form.graph.boundary)
+    a_mat = 2.0 * stiffness_matrix(form).toarray()
+    a_mat[np.ix_(boundary, boundary)] += q
+    free = np.ones(form.graph.vertex_count, dtype=bool)
+    free[[boundary[i] for i in pinned]] = False
+    root = np.sqrt(measure.masses[free])
+    lam, vecs = np.linalg.eigh(a_mat[free][:, free] / root[:, None] / root[None, :])
+    out = np.zeros_like(a_mat)
+    out[np.ix_(free, free)] = (vecs * np.exp(-t * lam)) @ vecs.T / root[:, None] * root[None, :]
+    return out
+
+
 def linear_semigroup(form, measure, spec, u0: np.ndarray, t: float) -> np.ndarray:
     """The exact flow at time t of a spec whose every functional is
-    d_i s^2 / 2: u(t) = exp(-t M^-1 (2K + D)) u0 on the free coordinates,
-    by ``eigh`` of the symmetric M^-1/2 (2K + D) M^-1/2.  A pinned boundary
-    value (d_i = inf) is 0 for t > 0."""
-    k_mat = stiffness_matrix(form).toarray()
-    d = np.zeros(form.graph.vertex_count)
-    d[list(form.graph.boundary)] = [b.curvature for b in spec.functionals]
-    free = np.isfinite(d)
-    root = np.sqrt(measure.masses[free])
-    a_mat = (2.0 * k_mat + np.diag(np.where(free, d, 0.0)))[free][:, free]
-    lam, q = np.linalg.eigh(a_mat / root[:, None] / root[None, :])
-    u = np.zeros(len(d))
-    u[free] = (q @ (np.exp(-t * lam) * (q.T @ (root * u0[free])))) / root
-    return u
+    d_i s^2 / 2: ``form_semigroup`` with Q = diag(d), a pinned boundary
+    value (d_i = inf) held at 0."""
+    d = np.array([b.curvature for b in spec.functionals])
+    pinned = np.flatnonzero(np.isinf(d))
+    return form_semigroup(form, measure, np.diag(np.where(np.isinf(d), 0.0, d)), t, pinned) @ u0
 
 
 def poisson_residual(form, measure, spec, f_values, u_values) -> float:

@@ -39,15 +39,25 @@ def manifest_without_timings(path: Path) -> dict:
     return doc
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # a fresh interpreter: this one has imported scipy.optimize for the oracles
+def _cli_import_loads(module: str) -> bool:
+    """Whether ``import gasketflow.cli`` loads ``module`` in a fresh
+    interpreter: this one has imported scipy.optimize for the oracles."""
     src = str(Path(gasketflow.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, gasketflow.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = f"import sys, gasketflow.cli; sys.exit({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
     )
-    assert proc.returncode == 0
+    return proc.returncode != 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    assert not _cli_import_loads("scipy.optimize")
+
+
+def test_cli_import_leaves_out_orjson():
+    # only the CSV writer needs it, so verify and the library never load it
+    assert not _cli_import_loads("orjson")
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +832,49 @@ def test_poisson_incompatible_neumann_source_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: pure Neumann problem needs a mu-mean-zero source")
     assert not out.exists()
+
+
+#: a source with mean 0.0155 at (3,2), uniform measure
+NO_MINIMIZER = {"N": 3, "m": 2, "f": {"kind": "random", "seed": 0}, "tol": 1e-3}
+ABSOLUTE = {"kind": "absolute_value", "beta": 0.001}
+UNBOUNDED_ABOVE = {"kind": "box", "lower": -1.0, "upper": None}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[ABSOLUTE] * 3, [UNBOUNDED_ABOVE] * 3, [UNBOUNDED_ABOVE, "neumann", ABSOLUTE]],
+    ids=["absolute-0.001", "box-unbounded-above", "mixed"],
+)
+def test_poisson_source_that_outgrows_the_penalties_is_usage_error(
+    tmp_path, monkeypatch, capsys, spec
+):
+    # along the constants the objective falls like (sum of slopes - 0.0155) s
+    def operator(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(flow, "_Operator", operator)
+    out = tmp_path / "x"
+    doc = dict(NO_MINIMIZER, spec=spec)
+    assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no minimizer: the source has mean 0.0154")
+    assert "toward +inf" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [{"kind": "absolute_value", "beta": 0.01}] * 3,  # slopes 0.03 > 0.0155
+        [{"kind": "box", "lower": None, "upper": 1.0}] * 3,  # bounded toward +inf
+    ],
+    ids=["absolute-0.01", "box-bounded-above"],
+)
+def test_poisson_source_within_the_penalties_slopes_solves(tmp_path, spec):
+    out = tmp_path / "run"
+    doc = dict(NO_MINIMIZER, spec=spec)
+    assert run_cli(["poisson", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    assert json.loads(read(out / "report.json"))["kkt_residual"] <= 1e-3
 
 
 @pytest.mark.parametrize("key, value", [("tau", 1e-320), ("t_end", 1e308)])

@@ -39,6 +39,7 @@ from gasketflow.robin import dirichlet, neumann
 from oracles import (
     bits,
     dominates_on,
+    form_semigroup,
     functionals,
     linear_semigroup,
     poisson_residual,
@@ -361,6 +362,27 @@ def test_domination_condition_refereed_by_flows(bhat, b, seed):
         target(gap, label="domination gap where the condition fails")
 
 
+@settings(max_examples=30, deadline=None)
+@given(bhat=BUILTIN_SPECS, b=BUILTIN_SPECS, seed=st.integers(0, 2**32 - 1))
+@example(bhat=builtin_specs(3)["dirichlet"], b=builtin_specs(3)["box"], seed=0)
+@example(bhat=builtin_specs(3)["box"], b=builtin_specs(3)["box"], seed=0)
+def test_total_domination_refereed_by_flows(bhat, b, seed):
+    # where the two-sided condition holds, bhat is dominated by b and by b
+    # reflected, B(-s), whose flow from |u0| is -T_b(-|u0|): so
+    # |T_bhat u0| <= -T_b(-|u0|) too.  The box [-0.5, 0.75] over itself
+    # meets only the one-sided condition, and its gap is recorded
+    g, form, measure = _setup(m=2)
+    cfg = FlowConfig(tau=0.05, t_end=0.5, tol=1e-11)
+    u0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (16, g.vertex_count))
+    s_hat = evolve(form, measure, bhat, u0, cfg).values
+    s_low = evolve(form, measure, b, -np.abs(u0), cfg).values
+    gap = float(np.max(np.abs(s_hat) + s_low))
+    if dominates_on(bhat, b, float(np.max(np.abs(u0))), signs=(1.0, -1.0)):
+        assert gap <= 10.0 * cfg.tol
+    else:
+        target(gap, label="total domination gap where the condition fails")
+
+
 def test_condition_depends_on_the_range_of_the_data():
     # a condition that holds on [-10, 10] holds on the narrower [-1, 1];
     # the converse fails for absolute_value over quadratic, whose difference
@@ -430,6 +452,44 @@ def test_linear_flow_converges_to_the_exact_semigroup(n, m):
     for errs, low, high in ((errors, 1.9, 2.2), (richardson, 3.7, 4.3)):
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert all(low <= r <= high for r in ratios), ratios
+
+
+E0, E1 = np.eye(3)[:2]
+SANDWICH = ("positivity", "neumann", "dirichlet")
+
+
+@pytest.mark.parametrize(
+    "q, holds, broken",
+    [
+        pytest.param(np.diag([1.0, 0.0, 2.0]), SANDWICH, {}, id="diagonal"),
+        pytest.param(
+            np.outer(E0 - E1, E0 - E1), ("positivity", "dirichlet"), {"neumann": 4e-2},
+            id="coupling-1",
+        ),
+        pytest.param(
+            1e-3 * np.outer(E0 - E1, E0 - E1), ("positivity", "dirichlet"), {"neumann": 5e-5},
+            id="coupling-1e-3",
+        ),
+        pytest.param(np.outer(E0 + E1, E0 + E1), (), {"positivity": 4e-2}, id="not-positive"),
+    ],
+)
+def test_sandwiched_linear_semigroups_are_local(q, holds, broken):
+    # the semigroup T of 2K + Q, Q symmetric PSD on the boundary values, is
+    # positive and sandwiched, |T_D u| <= T |u| and |T u| <= T_N |u|, iff Q
+    # is diagonal: for m >= 1 no two boundary vertices share an edge, so
+    # T_ij ~ -t Q_ij / mu_i while (T_N)_ij = O(t^2).  Each gap is the
+    # largest entry of -T, |T| - T_N or |T_D| - T over t
+    g, form, measure = _setup(m=2, weights=(0.5, 0.3, 0.2))
+    zero = np.zeros((3, 3))
+    gaps = dict.fromkeys(SANDWICH, -INF)
+    for t in (1e-3, 1e-2, 0.1, 0.5):
+        t_q = form_semigroup(form, measure, q, t)
+        t_n = form_semigroup(form, measure, zero, t)
+        t_d = form_semigroup(form, measure, zero, t, pinned=(0, 1, 2))
+        found = (-t_q.min(), (np.abs(t_q) - t_n).max(), (np.abs(t_d) - t_q).max())
+        gaps = {key: max(gaps[key], gap) for key, gap in zip(SANDWICH, found)}
+    assert all(gaps[key] <= 1e-12 for key in holds), gaps
+    assert all(gaps[key] >= by for key, by in broken.items()), gaps
 
 
 @pytest.mark.parametrize(

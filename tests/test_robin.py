@@ -294,6 +294,27 @@ def test_curvature_of_each_kind():
             np.testing.assert_array_equal(b(CHECK_GRID), expected)
 
 
+def test_slopes_of_each_kind():
+    # lim B(-s)/s and lim B(s)/s as s -> inf
+    cases = [
+        (neumann(), (0.0, 0.0)),
+        (dirichlet(), (INF, INF)),
+        (BoxIndicator(-INF, 1.0), (0.0, INF)),
+        (BoxIndicator(-0.5, INF), (INF, 0.0)),
+        (Power(0.25, 1.0), (0.25, 0.25)),
+        (Power(0.25, 1.0 + 2**-52), (INF, INF)),
+        (Power(2.0, 2.0), (INF, INF)),
+        (PiecewiseLinearQuadratic(1.5), (INF, INF)),
+        (PiecewiseLinearQuadratic(1e-9, ((0.5, 1.0),)), (INF, INF)),
+        (PiecewiseLinearQuadratic(0.0, ((0.0, 0.5), (2.0, 0.25))), (0.75, 0.75)),
+    ]
+    for b, slopes in cases:
+        assert b.slopes == slopes, b
+        for side, slope in zip((-1.0, 1.0), slopes):
+            if slope < INF:  # B(s)/s approaches it from below: within d_j w_j / s
+                assert slope - 1e-8 <= b(side * 1e8) / 1e8 <= slope, b
+
+
 def test_subdiff_distance_infeasible_point():
     assert dirichlet().subdiff_distance(1.0, 0.0) == INF
     assert BoxIndicator(-1.0, 1.0).subdiff_distance(2.0, 0.0) == INF
