@@ -15,12 +15,14 @@ A = 2K + M/tau is factored once per (graph, measure, tau) and shared by
 every spec and trajectory on it.  The solver advances an ensemble: k
 trajectories of one spec as one (k, V) array, with one interior solve on
 the 2-D right side and the boundary sweeps run on all members at once.  A
-member stops sweeping when its own residual meets the tolerance, and every
+member stops sweeping when its own residual meets the tolerance, and the
+solve reports the residual it stopped on as the step's evidence.  Every
 product over the N boundary coordinates is computed one member at a time
-by the same BLAS call, so a member's states and sweep counts equal those
-of the trajectory run alone.  ``advance`` yields the steps and ``evolve``
-collects them, from one state or a (k, V) array; ``backward_euler_step``
-and ``poisson_solve`` (the operator code run on K) are the k = 1 case.
+by the same BLAS call, so a member's states, sweep counts and residuals
+equal those of the trajectory run alone.  ``advance`` yields the steps and
+``evolve`` collects them, from one state or a (k, V) array;
+``backward_euler_step`` and ``poisson_solve`` (the operator code run on K)
+are the k = 1 case.
 
 The iterates inherit, step by step and up to solver tolerance, the
 qualitative properties of the continuous flow: positivity, order
@@ -84,9 +86,10 @@ class FlowConfig:
 
 @dataclass
 class StepDiagnostics:
-    """``residual`` is the boundary KKT residual norm, the quantity the
-    stopping test bounds; ``interior_residual`` is the norm of A v - rhs
-    on the interior rows, which the exact elimination leaves at roundoff.
+    """``residual`` is the norm of the boundary KKT residual the solve
+    stopped on, which the stopping test bounds; ``interior_residual`` is
+    the norm of A v - rhs on the interior rows, which the exact elimination
+    leaves at roundoff.
     For an ensemble, ``iterations`` sums the members' boundary sweeps and
     the residuals are the largest over the members."""
 
@@ -167,9 +170,10 @@ def _solve_boundary_inclusion(
     max_iters: int,
     v0: np.ndarray,
     gauge_free: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve 0 in S v - c + prod_i dB_i(v_i) for each row of ``c``; return
-    the solutions and the sweeps each took.
+    the solutions, the sweeps each took and the per-coordinate
+    subdifferential distances it stopped on.
 
     When every B_i is d_i * s^2 / 2 (``curvature`` d_i in [0, inf], inf pins
     v_i to 0), one dense solve per member.  Otherwise the strictly convex
@@ -183,6 +187,7 @@ def _solve_boundary_inclusion(
     rank-one augmentation.
     """
     k, n = c.shape
+    groups = _groups(functionals)
     curvatures = [b.curvature for b in functionals]
     if None not in curvatures:
         free = [i for i, d in enumerate(curvatures) if d < math.inf]  # the rest stay 0
@@ -193,21 +198,22 @@ def _solve_boundary_inclusion(
         v = np.zeros((k, n))
         mats = np.broadcast_to(mat, (k, *mat.shape))
         v[:, free] = np.linalg.solve(mats, c[:, free, None])[:, :, 0]
-        return v, np.ones(k, dtype=int)
+        return v, np.ones(k, dtype=int), _boundary_residual(s_mat, c, groups, v)
 
     coordinates = [(i, b, s_mat[i, i], 1.0 / s_mat[i, i], s_mat[i]) for i, b in enumerate(functionals)]
-    groups = _groups(functionals)
     v = _rows(v0)
     for i, b, _, lam, _ in coordinates:  # project onto the domain first
         v[:, i] = b.prox(lam, v[:, i])
     iterations = np.zeros(k, dtype=int)
+    distances = np.empty((k, n))
     active = np.arange(k)  # members still sweeping, with their rows of v and c
     v_act, c_act = v, c
     for it in range(1, max_iters + 1):
         for i, b, sii, lam, row in coordinates:
             z = (c_act[:, i] - np.vecdot(v_act, row) + sii * v_act[:, i]) / sii
             v_act[:, i] = b.prox(lam, z)
-        resid = _norms(_boundary_residual(s_mat, c_act, groups, v_act))
+        distance = _boundary_residual(s_mat, c_act, groups, v_act)
+        resid = _norms(distance)
         if not resid.max() < math.inf:  # one reduction: nan and inf both fail it
             j = np.flatnonzero(~np.isfinite(resid))[0]
             member = f"member {active[j]}: " if k > 1 else ""
@@ -220,9 +226,10 @@ def _solve_boundary_inclusion(
         if done.any():
             v[active[done]] = v_act[done]
             iterations[active[done]] = it
+            distances[active[done]] = distance[done]
             active, v_act, c_act = active[~done], v_act[~done], c_act[~done]
             if not active.size:
-                return v, iterations
+                return v, iterations, distances
     member = f"member {active[0]}: " if k > 1 else ""
     raise ConvergenceError(
         f"{member}boundary solve did not reach tol={tol} in {max_iters} sweeps",
@@ -236,7 +243,7 @@ class _Operator:
 
     ``solve`` eliminates the interior exactly (Schur complement onto the
     boundary vertices), solves the boundary inclusion and recovers the
-    interior; ``residuals`` measures how well the result satisfies both.
+    interior, and reports how well the result satisfies both.
     The factorization uses one-column SuperLU panels: same pivots and
     fill as the default 20, a fifth less peak memory at depth.
     """
@@ -261,27 +268,19 @@ class _Operator:
 
     def solve(self, rhs, functionals, tol, max_inner_iters, v0, gauge_free=False):
         """For each row of the (k, V) ``rhs``: the values minimizing
-        v.A v/2 - rhs.v + sum_i B_i(v(p_i)), the reduced right side ``c``
-        and the number of boundary sweeps, each stacked over the k rows."""
+        v.A v/2 - rhs.v + sum_i B_i(v(p_i)), the number of boundary sweeps,
+        the per-boundary subdifferential distances the sweeps stopped on
+        and the interior residual norm, each stacked over the k rows."""
         z = self.lu.solve(rhs[:, self.interior].T)
         c = rhs[:, self.boundary] - (self.a_bi @ z).T
-        v_b, iters = _solve_boundary_inclusion(
+        v_b, iters, distances = _solve_boundary_inclusion(
             self.s_mat, c, functionals, tol, max_inner_iters, v0, gauge_free
         )
         values = np.empty(rhs.shape)
         values[:, self.interior] = z.T - (self.w @ v_b[:, :, None])[:, :, 0]
         values[:, self.boundary] = v_b
-        return values, c, iters
-
-    def residuals(self, values, rhs, c, functionals):
-        """Per row: the per-boundary subdifferential distances, their norm
-        (the quantity the boundary stopping test bounds) and the interior
-        residual norm."""
-        boundary = _boundary_residual(
-            self.s_mat, c, _groups(functionals), _rows(values[:, self.boundary])
-        )
         interior = (self.a_mat @ values.T - rhs.T)[self.interior].T
-        return boundary, _norms(boundary), _norms(interior)
+        return values, iters, distances, _norms(interior)
 
 
 @functools.lru_cache(maxsize=1)
@@ -315,7 +314,7 @@ def advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
     for step in range(1, steps + 1):
         rhs = measure.masses * values / config.tau
         try:
-            values, c, iters = op.solve(
+            values, iters, distances, interior = op.solve(
                 rhs, spec.functionals, config.tol, config.max_inner_iters,
                 values[:, op.boundary],
             )
@@ -323,8 +322,7 @@ def advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
             raise ConvergenceError(
                 f"step {step}: {exc}", residual=exc.residual, iterations=exc.iterations
             ) from None
-        _, kkt, interior = op.residuals(values, rhs, c, spec.functionals)
-        yield values, iters, kkt, interior
+        yield values, iters, _norms(distances), interior
 
 
 def backward_euler_step(
@@ -439,17 +437,16 @@ def poisson_solve(
         )
     op = _Operator(stiffness_matrix(form), graph)
     rhs = (measure.masses * f.values)[None]
-    values, c, iters = op.solve(
+    values, iters, distances, interior = op.solve(
         rhs, spec.functionals, tol, max_inner_iters, np.zeros((1, graph.n)),
         gauge_free=pure_neumann,
     )
     if pure_neumann:
         values = values - float(np.sum(measure.masses * values[0]))
-    boundary_res, kkt, interior = op.residuals(values, rhs, c, spec.functionals)
     report = PoissonReport(
         iterations=int(iters[0]),
-        kkt_residual=float(kkt[0]),
-        boundary_residuals=tuple(boundary_res[0].tolist()),
+        kkt_residual=float(_norms(distances)[0]),
+        boundary_residuals=tuple(distances[0].tolist()),
         interior_residual=float(interior[0]),
         compatibility=total if pure_neumann else None,
         gauged=pure_neumann,

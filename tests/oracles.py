@@ -381,6 +381,35 @@ def linear_semigroup(form, measure, spec, u0: np.ndarray, t: float) -> np.ndarra
     return form_semigroup(form, measure, np.diag(np.where(np.isinf(d), 0.0, d)), t, pinned) @ u0
 
 
+def exact_load(graph, weights: MeasureWeights) -> np.ndarray:
+    """b_x = integral of psi_x dmu, psi_x the level-m harmonic spline that is
+    1 at x and 0 at every other level-m vertex: the exact load of f = 1.
+
+    A_j maps the boundary values of a harmonic function to those of its
+    restriction to cell j: 1 at p_j and (u_j + u_k + sum u) / (N + 2) at
+    F_j(p_k).  Self-similarity of mu makes the corner integrals
+    I_i = integral of h_i dmu the fixed point I = sum_j mu_j A_j^T I with
+    sum I = 1, and a cell c of mass mu(c) contributes mu(c) I_i to its
+    i-th corner (Kigami, Analysis on Fractals, 2001)."""
+    n, mu = graph.n, np.asarray(weights.weights)
+    fixed = np.zeros((n + 1, n))
+    for j in range(n):
+        a_j = (np.eye(n)[j] + np.eye(n) + 1.0) / (n + 2)  # row k: F_j(p_k)
+        a_j[j] = np.eye(n)[j]
+        fixed[:n] += mu[j] * a_j.T
+    fixed[:n] -= np.eye(n)
+    fixed[n] = 1.0
+    corner_integrals = np.linalg.lstsq(fixed, np.eye(n + 1)[n], rcond=None)[0]
+    cell_mass = np.ones(1)
+    for _ in range(graph.level):  # child c*n + i of cell c has mass mass_c * mu_i
+        cell_mass = np.outer(cell_mass, mu).ravel()
+    return np.bincount(
+        graph.cell_corners.ravel(),
+        weights=np.outer(cell_mass, corner_integrals).ravel(),
+        minlength=graph.vertex_count,
+    )
+
+
 def poisson_residual(form, measure, spec, f_values, u_values) -> float:
     """Max stationarity residual of the bilinear-energy weak form."""
     graph = form.graph

@@ -19,6 +19,7 @@ from gasketflow import (
     RobinSpec,
     VertexFunction,
     backward_euler_step,
+    batch_perturbed_energy,
     build_level,
     builtin_specs,
     energy,
@@ -35,10 +36,12 @@ from gasketflow import (
 )
 
 from gasketflow import flow
+from gasketflow.gasket import _restriction_indices
 from gasketflow.robin import dirichlet, neumann
 from oracles import (
     bits,
     dominates_on,
+    exact_load,
     form_semigroup,
     functionals,
     linear_semigroup,
@@ -280,6 +283,31 @@ def test_energy_decay_along_trajectory():
                 assert nxt <= prev + 1e-9
 
 
+DISSIPATION_SPECS = dict(
+    builtin_specs(3),
+    nonsmooth=RobinSpec((Power(1.0, 1.0), Power(2.0, 3.0), BoxIndicator(-0.2, 0.5))),
+)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.0125, 0.003125])
+@pytest.mark.parametrize("name", sorted(DISSIPATION_SPECS))
+def test_dissipation_certificate_is_nonnegative(name, tau):
+    # with phi the perturbed energy, the step's optimality (U^(n-1) - U^n) / tau
+    # in d phi(U^n) and convexity give eps_n = phi(U^(n-1)) - phi(U^n)
+    # - ||U^n - U^(n-1)||^2_mu / tau >= 0 wherever phi(U^(n-1)) is finite
+    # (Nochetto, Savare & Verdi, CPAM 53, 2000)
+    g, form, measure = _setup(m=3)
+    spec = DISSIPATION_SPECS[name]
+    u0 = np.random.default_rng(1).uniform(-1.0, 1.0, (4, g.vertex_count))
+    states = evolve(form, measure, spec, u0, FlowConfig(tau, 0.5, tol=1e-9)).values
+    phi = batch_perturbed_energy(form, spec, states)
+    moved = (np.diff(states, axis=1) ** 2 * measure.masses).sum(axis=2)
+    finite = np.isfinite(phi[:, :-1])
+    assert finite.any()
+    eps = phi[:, :-1][finite] - phi[:, 1:][finite] - moved[finite] / tau
+    assert eps.min() >= -1e-12, eps.min()
+
+
 def test_l2_contraction_of_pairs():
     g, form, measure = _setup(m=2)
     cfg = FlowConfig(0.05, 0.5)
@@ -501,6 +529,29 @@ def test_boundary_schur_complement_is_the_level_0_stiffness(n, m):
     s_mat = flow._Operator(stiffness_matrix(EnergyForm(g)), g).s_mat
     level_0 = stiffness_matrix(EnergyForm(build_level(n, 0))).toarray()
     assert np.max(np.abs(s_mat - level_0)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, weights, top", [(3, (0.5, 0.3, 0.2), 7), (4, (0.25,) * 4, 5)]
+)
+@pytest.mark.parametrize(
+    "name", ["dirichlet", "quadratic", "absolute_value", "power", "box", "plq", "mixed"]
+)
+def test_poisson_with_the_exact_load_nests_across_levels(n, weights, top, name):
+    # the level-m Green's function is a level-m harmonic spline, so with the
+    # exact load of f = 1 each level's solution is the top level's restricted
+    # (f = 1 has no minimizer under neumann)
+    spec, measure_weights = builtin_specs(n)[name], MeasureWeights(weights)
+    solutions = []
+    for m in range(1, top + 1):
+        g, form, measure = _setup(n=n, m=m, weights=weights)
+        f = VertexFunction(g, exact_load(g, measure_weights) / measure.masses)
+        solutions.append(poisson_solve(form, measure, spec, f, tol=1e-13)[0].values)
+    gaps = [
+        np.max(np.abs(u - solutions[-1][_restriction_indices(n, m, top)]))
+        for m, u in enumerate(solutions[:-1], start=1)
+    ]
+    assert max(gaps) <= 1e-11, gaps
 
 
 @pytest.mark.parametrize("n, top", [(3, 8), (4, 7)])

@@ -7,6 +7,7 @@ from gasketflow import (
     CheckReport,
     ConfigError,
     EnergyForm,
+    Ensemble,
     RobinSpec,
     SampleConfig,
     batch_energy,
@@ -155,6 +156,34 @@ def test_flow_properties_equal_the_per_call_reference(seed):
     cfg = SampleConfig(seed=seed, sample_count=3)
     got = [asdict(r) for r in check_flow_properties(cfg)]
     assert got == [asdict(r) for r in flow_properties_reference(cfg)]
+
+
+def test_flow_properties_mask_and_anchor_each_reduction(monkeypatch):
+    # Every trajectory is the crafted stack: a constant state whose mu-mean
+    # moves from 1 to 1.5 and partly back to 1.2, under an energy that goes
+    # from finite to infinite.  A rise out of a finite energy is a
+    # violation, and the mean drifts by 0.5 from the first step; masking by
+    # the later energy, or measuring against the last step, reads otherwise.
+    levels = np.array([1.0, 1.5, 1.2, 1.2, 1.2, 1.2])
+    energy = np.array([1.0, 0.5, np.inf, np.inf, np.inf, np.inf])
+
+    def crafted_evolve(form, measure, spec, initial, config):
+        assert config.n_steps + 1 == len(levels)
+        shape = (len(initial), len(levels), initial.shape[1])
+        return Ensemble(form.graph, None, np.broadcast_to(levels[None, :, None], shape), [])
+
+    monkeypatch.setattr(verify, "evolve", crafted_evolve)
+    monkeypatch.setattr(
+        verify, "batch_perturbed_energy",
+        lambda form, spec, stack: np.broadcast_to(energy, stack.shape[:2]),
+    )
+    reports = {r.property: r for r in check_flow_properties(SampleConfig(seed=0, sample_count=2))}
+    decay = reports["energy_decay"]
+    assert decay.max_slack == np.inf
+    assert decay.violations == decay.samples == 2 * len(builtin_specs(3))
+    conservation = reports["mean_conservation"]
+    assert conservation.max_slack == pytest.approx(0.5, abs=1e-12)  # the total mass is 1
+    assert conservation.violations == conservation.samples == 2
 
 
 def test_flow_properties_do_not_depend_on_the_block_size(monkeypatch):
