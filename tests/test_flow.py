@@ -308,6 +308,31 @@ def test_dissipation_certificate_is_nonnegative(name, tau):
     assert eps.min() >= -1e-12, eps.min()
 
 
+@pytest.mark.parametrize("m, weights", [(2, (0.5, 0.3, 0.2)), (3, None)])
+@pytest.mark.parametrize("name", ["neumann", "dirichlet", "quadratic", "mixed"])
+def test_a_posteriori_bound_holds_at_every_node(name, m, weights):
+    # ||U^n - T(t_n) u0||_mu <= (sum_(k <= n) tau eps_k)^(1/2), eps_k the
+    # dissipation above and T the exact linear semigroup (Nochetto, Savare
+    # & Verdi, CPAM 53, 2000); u0 is 0 where a boundary value is pinned, so
+    # phi(u0) is finite.  The 1e-12 covers the roundoff of T(0) u0 = u0
+    g, form, measure = _setup(m=m, weights=weights)
+    spec = builtin_specs(3)[name]
+    u0 = np.random.default_rng(1).uniform(-1.0, 1.0, (4, g.vertex_count))
+    u0[:, [x for b, x in zip(spec.functionals, g.boundary) if b.curvature == INF]] = 0.0
+    for tau in (0.05, 0.0125, 0.003125):
+        run = evolve(form, measure, spec, u0, FlowConfig(tau, 0.5, tol=1e-12))
+        phi = batch_perturbed_energy(form, spec, run.values)
+        moved = (np.diff(run.values, axis=1) ** 2 * measure.masses).sum(axis=2)
+        eps = phi[:, :-1] - phi[:, 1:] - moved / tau
+        bound = np.sqrt(np.maximum(np.cumsum(tau * eps, axis=1), 0.0))
+        exact = np.stack(
+            [linear_semigroup(form, measure, spec, u0.T, t).T for t in run.times], axis=1
+        )
+        error = np.sqrt(((run.values - exact) ** 2 * measure.masses).sum(axis=2))
+        assert error[:, 0].max() <= 1e-12
+        assert np.all(error[:, 1:] <= bound + 1e-12), (tau, (error[:, 1:] / bound).max())
+
+
 def test_l2_contraction_of_pairs():
     g, form, measure = _setup(m=2)
     cfg = FlowConfig(0.05, 0.5)
@@ -541,17 +566,32 @@ def test_poisson_with_the_exact_load_nests_across_levels(n, weights, top, name):
     # the level-m Green's function is a level-m harmonic spline, so with the
     # exact load of f = 1 each level's solution is the top level's restricted
     # (f = 1 has no minimizer under neumann)
+    gaps = _exact_load_gaps(n, weights, range(1, top + 1), name)
+    assert max(gaps) <= 1e-11, gaps
+
+
+@pytest.mark.parametrize(
+    "name", ["dirichlet", "quadratic", "absolute_value", "power", "box", "plq", "mixed"]
+)
+def test_poisson_with_the_exact_load_nests_at_depth(name):
+    # the same nesting on the deep rungs, levels 7 and 9 against 10
+    gaps = _exact_load_gaps(3, (0.5, 0.3, 0.2), (7, 9, 10), name)
+    assert max(gaps) <= 1e-9, gaps
+
+
+def _exact_load_gaps(n, weights, levels, name):
+    """Largest gap of each level's exact-load Poisson solution to the last
+    level's restricted, one per level but the last."""
     spec, measure_weights = builtin_specs(n)[name], MeasureWeights(weights)
     solutions = []
-    for m in range(1, top + 1):
+    for m in levels:
         g, form, measure = _setup(n=n, m=m, weights=weights)
         f = VertexFunction(g, exact_load(g, measure_weights) / measure.masses)
         solutions.append(poisson_solve(form, measure, spec, f, tol=1e-13)[0].values)
-    gaps = [
-        np.max(np.abs(u - solutions[-1][_restriction_indices(n, m, top)]))
-        for m, u in enumerate(solutions[:-1], start=1)
+    return [
+        np.max(np.abs(u - solutions[-1][_restriction_indices(n, m, levels[-1])]))
+        for m, u in zip(levels, solutions[:-1])
     ]
-    assert max(gaps) <= 1e-11, gaps
 
 
 @pytest.mark.parametrize("n, top", [(3, 8), (4, 7)])

@@ -1,4 +1,5 @@
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gasketflow.verify import (
     _with_feasible_boundary,
 )
 
-from oracles import flow_properties_reference, strict_json
+from oracles import edge_pairs, flow_properties_reference, strict_json
 
 
 def test_scalar_trivial_tuple_holds_with_equality():
@@ -130,6 +131,65 @@ def test_locality_also_clean_at_level_one():
         form, RobinSpec.dirichlet(3), SampleConfig(seed=4, sample_count=40)
     )
     assert report.violations == 0
+
+
+def _shared_vertex(graph, rng):
+    # no edge has u != 0 at one end and v != 0 at the other
+    mask = np.arange(graph.vertex_count) == graph.vertex_count // 2
+    return mask, mask
+
+
+def _joining_edge(graph, rng):
+    # a random edge, u on one end and v on the other, in either orientation
+    k = int(rng.integers(graph.edge_arrays[0].size))
+    ends = [np.arange(graph.vertex_count) == e[k] for e in graph.edge_arrays]
+    return tuple(ends if rng.random() < 0.5 else ends[::-1])
+
+
+@pytest.mark.parametrize("name", ["neumann", "dirichlet", "quadratic", "mixed"])
+@pytest.mark.parametrize(
+    "masks, joined",
+    [
+        pytest.param(_shared_vertex, True, id="shared-vertex"),
+        pytest.param(_joining_edge, True, id="joining-edge"),
+        pytest.param(verify._subtree_masks, False, id="sampler"),
+    ],
+)
+def test_locality_exact_part_flags_every_pair_the_rational_identity_flags(
+    monkeypatch, masks, joined, name
+):
+    # replay the suite's draws (masks, then u, then v, per sample) and
+    # decide sum (Du + Dv)^2 = sum Du^2 + sum Dv^2 in exact rationals; the
+    # boolean check on the supports must flag (slack inf) every pair that
+    # fails it
+    graph, spec, cfg = build_level(3, 2), builtin_specs(3)[name], SampleConfig(5, 40)
+    slacks, report_of = [], verify._report
+
+    def keep_slack(label, slack, seed):
+        slacks.append(slack)
+        return report_of(label, slack, seed)
+
+    monkeypatch.setattr(verify, "_subtree_masks", masks)
+    monkeypatch.setattr(verify, "_report", keep_slack)
+    report = check_locality(EnergyForm(graph), spec, cfg, name)
+
+    def energy(values):
+        return sum((values[i] - values[j]) ** 2 for i, j in edge_pairs(graph))
+
+    rng = np.random.default_rng(cfg.seed)
+    fails = []
+    for _ in range(cfg.sample_count):
+        mask_a, mask_b = masks(graph, rng)
+        u = [Fraction(x) for x in rng.uniform(-1.0, 1.0, graph.vertex_count) * mask_a]
+        v = [Fraction(x) for x in rng.uniform(-1.0, 1.0, graph.vertex_count) * mask_b]
+        fails.append(energy([a + b for a, b in zip(u, v)]) != energy(u) + energy(v))
+    assert np.all(slacks[0][fails] == np.inf)
+    assert all(fails) if joined else not any(fails)
+    if joined:
+        assert report.violations == report.samples == cfg.sample_count
+        assert report.max_slack == np.inf
+    else:
+        assert report.violations == 0, report
 
 
 def test_flow_properties_clean_small():
