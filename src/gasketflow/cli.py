@@ -48,7 +48,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainMismatchError,
-    GasketflowError,
     ResourceLimitError,
 )
 from .flow import FlowConfig, _check_solver_controls, evolve, poisson_solve
@@ -343,10 +342,12 @@ def _report_failure(exc: ConvergenceError) -> None:
 
 def cmd_evolve(args, out: Path):
     cfg, tol, n, m, weights, spec = _load_problem(args, _EVOLVE_KEYS)
+    tau = _number(_require(cfg, "tau", args.config), f"{args.config}: tau")
+    t_end = _number(_require(cfg, "t_end", args.config), f"{args.config}: t_end")
     try:
         flow_cfg = FlowConfig(
-            tau=_number(_require(cfg, "tau", args.config), "tau"),
-            t_end=_number(_require(cfg, "t_end", args.config), "t_end"),
+            tau=tau,
+            t_end=t_end,
             tol=tol,
             max_inner_iters=_integer(cfg.get("max_inner_iters", 100_000), "max_inner_iters"),
         )
@@ -511,9 +512,6 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         _report_failure(exc)
-        return 1
-    except GasketflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError
-from .gasket import GasketGraph, VertexFunction, build_level, _restriction_indices
+from .gasket import GasketGraph, VertexFunction, build_level, restrict, _restriction_indices
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,6 @@ def harmonic_function(graph: GasketGraph, boundary_values) -> VertexFunction:
 
 def energy_profile(u: VertexFunction) -> list[float]:
     """Energies of the restrictions of u at levels 0..M (nondecreasing)."""
-    from .gasket import restrict
-
     g = u.graph
     out = []
     for m in range(g.level + 1):

@@ -70,11 +70,10 @@ class FlowConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         _check_solver_controls(self.tol, self.max_inner_iters)
-        if self.tau > self.t_end * (1 + 1e-12):
-            raise ConfigError("tau must not exceed t_end")
         if not math.isfinite(self.t_end / self.tau):
             raise ConfigError(f"t_end / tau = {self.t_end} / {self.tau} is not a finite step count")
-        if abs(self.n_steps * self.tau - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        # n = 0 fails too: |0 - t_end| = t_end
+        if abs(self.n_steps * self.tau - self.t_end) > 1e-9 * self.t_end:
             raise ConfigError(
                 f"t_end = {self.t_end} is not an integer multiple of tau = {self.tau}"
             )

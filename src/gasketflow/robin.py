@@ -219,7 +219,7 @@ class BoxIndicator(BoundaryFunctional):
         return np.where((s >= self.lower) & (s <= self.upper), 0.0, INF)[()]
 
     def _prox(self, lam, s):
-        return np.where(s < self.lower, self.lower, np.where(s > self.upper, self.upper, s))
+        return np.clip(s, self.lower, self.upper)
 
     @property
     def curvature(self):

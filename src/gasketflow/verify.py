@@ -311,10 +311,7 @@ def check_locality(
     ).any(axis=1)
     lhs = batch_perturbed_energy(form, spec, u + v)
     rhs = batch_perturbed_energy(form, spec, u) + batch_perturbed_energy(form, spec, v)
-    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, replaced below
-        slack = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    slack[np.isinf(lhs) | np.isinf(rhs)] = INF
-    slack[np.isinf(lhs) & np.isinf(rhs)] = -INF
+    slack = np.maximum(_relative_slack(lhs, rhs), _relative_slack(rhs, lhs))
     slack[joined] = INF
     return _report(f"locality[{name}]" if name else "locality", slack, cfg.seed)
 

@@ -225,6 +225,20 @@ def test_flow_report_bytes_are_pinned(tmp_path, seed):
     assert sha256(tmp_path / "report.json") == FLOW_REPORT_DIGESTS[seed]
 
 
+# sha256 of the locality-suite report.json at the default sample count, by seed
+LOCALITY_REPORT_DIGESTS = {
+    0: "501b3adebdd7a5447eafdaebad4891271b09d66818b6f38caf44365c2468fb42",
+    1: "c02885244cab07dfea8868efd6dac17bb787096bd66faf66120d2d6a28ac74f1",
+    2: "41b26e41065a1ce198e0a72271e324269a2c25eecb86d866c0ffb060bf5533c4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LOCALITY_REPORT_DIGESTS))
+def test_locality_report_bytes_are_pinned(tmp_path, seed):
+    assert run_cli(["verify", "--suite", "locality", "--seed", seed, "--out", tmp_path]) == 0
+    assert sha256(tmp_path / "report.json") == LOCALITY_REPORT_DIGESTS[seed]
+
+
 #: level-4 runs of the golden evolve config and of the README poisson example,
 #: by command: (config, output file, sha256 of that file).  The level-2 golden
 #: factors a matrix small enough that a change in the order of SuperLU's
@@ -725,11 +739,14 @@ def test_config_errors_come_before_the_graph_build(tmp_path, monkeypatch, comman
     assert not out.exists()
 
 
-def test_evolve_missing_key(tmp_path):
-    doc = dict(BASE_EVOLVE)
-    del doc["tau"]
-    cfg = write_config(tmp_path, doc)
-    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+def test_evolve_missing_key(tmp_path, capsys):
+    # the message names the config once
+    for key in ("tau", "t_end"):
+        doc = dict(BASE_EVOLVE)
+        del doc[key]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: missing required key {key!r}\n"
 
 
 def test_evolve_invalid_json_reports_position(tmp_path, capsys):
@@ -885,6 +902,18 @@ def test_evolve_step_count_that_overflows_is_usage_error(tmp_path, capsys, key, 
     assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not a finite step count" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_evolve_t_end_off_the_grid_below_one_is_usage_error(tmp_path, capsys):
+    # 3.5 steps of 1e-10: off the grid by half a step, which is 5e-11, so
+    # the multiple must be checked relative to t_end
+    doc = dict(json.loads(read(DATA / "mixed_robin_config.json")), tau=1e-10, t_end=3.5e-10)
+    out = tmp_path / "x"
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not an integer multiple of tau" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 

@@ -70,8 +70,10 @@ def _random(g, seed, scale=1.0):
 def test_config_validation():
     with pytest.raises(ConfigError):
         FlowConfig(tau=0.0, t_end=1.0)
-    with pytest.raises(ConfigError):
-        FlowConfig(tau=0.5, t_end=0.25)
+    for tau, t_end in ((0.5, 0.25), (0.3, 0.25), (1e-10, 3.5e-10)):
+        # the multiple is checked relative to t_end, also below t_end = 1
+        with pytest.raises(ConfigError, match="not an integer multiple"):
+            FlowConfig(tau=tau, t_end=t_end)
     with pytest.raises(ConfigError):
         FlowConfig(tau=0.1, t_end=1.0, tol=0.0)
     with pytest.raises(ConfigError):
