@@ -10,10 +10,11 @@ override recorded as ``config.tol`` and the seed of a random ``u0`` / ``f``
 as its ``seed`` (the manifest's ``timings``, wall clock, peak memory and
 the time spent writing CSV rows, are the only non-reproducible bytes).
 Every CSV float is spelled exactly as Python's ``repr`` spells it.
-Invalid input exits 2 with an
-``error:`` message and writes nothing; that includes a config that is not UTF-8, a boolean
-where a spec parameter wants a number, and an ``--out`` that cannot be a
-directory.  Only the contents of ``u0`` / ``f`` are checked after the
+Invalid input exits 2 with an ``error:`` message and writes nothing; that
+includes a config that is not UTF-8, a boolean where a spec parameter
+wants a number, and an ``--out`` that cannot be a directory.  Only the
+contents of ``u0`` / ``f``, the level-m vertex masses (which can underflow
+to 0) and a harmonic extension (which can overflow) are checked after the
 graph is built.  Evolve writes each ``trajectory.csv`` row as its step is
 made.  When a step's boundary solve does not converge, the rows written
 are the states before it; the command records the failing step, its
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .flow import FlowConfig, _check_solver_controls, evolve, poisson_solve
 from .gasket import VertexFunction, build_level, vertex_coordinates
-from .measure import MeasureWeights, vertex_measure
+from .measure import MeasureWeights, VertexMeasure, vertex_measure
 from .robin import RobinSpec
 from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 
@@ -236,6 +237,27 @@ def _weights(values, n: int, what: str) -> MeasureWeights:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _measure(graph, weights: MeasureWeights, what: str) -> VertexMeasure:
+    """``vertex_measure``; weights whose masses underflow are a ConfigError."""
+    try:
+        return vertex_measure(graph, weights)
+    except ValueError as exc:  # a level-m cell mass is a product of m weights
+        raise ConfigError(
+            f"{what} {weights.weights}: a level-{graph.level} vertex mass underflows to 0"
+        ) from exc
+
+
+def _harmonic(graph, boundary: list[float], what: str) -> VertexFunction:
+    """``harmonic_function``; an extension that overflows is a ConfigError."""
+    with np.errstate(over="ignore"):  # the error line reports the overflow
+        try:
+            return harmonic_function(graph, boundary)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{what} {boundary}: the harmonic extension to level {graph.level} overflows"
+            ) from exc
+
+
 def _load_problem(args, keys: set[str]):
     """The evolve/poisson config and its tol, N, m, weights and spec.
 
@@ -298,7 +320,7 @@ def _parse_vertex_data(
         return VertexFunction(graph, data), None
     if kind == "harmonic":
         boundary = _numbers(_require(obj, "boundary", where), f"{where}.boundary", n)
-        return harmonic_function(graph, boundary), None
+        return _harmonic(graph, boundary.tolist(), f"{where}.boundary"), None
     # PCG64 via numpy default_rng; uniform on [-1, 1)
     rng = np.random.default_rng(seed)
     return VertexFunction(graph, rng.uniform(-1.0, 1.0, graph.vertex_count)), seed
@@ -313,7 +335,7 @@ def cmd_gasket(args, out: Path):
     graph = build_level(args.n, args.m)
     raw = None if args.weights is None else _comma_list(args.weights, "--weights")
     weights = _weights(raw, args.n, "--weights")
-    measure = vertex_measure(graph, weights)
+    measure = _measure(graph, weights, "--weights")
 
     _write_json(out / "graph.json", graph.to_json_dict())
     coords = vertex_coordinates(graph)
@@ -328,7 +350,7 @@ def cmd_gasket(args, out: Path):
 def cmd_extend(args, out: Path):
     raw = _comma_list(args.boundary, "--boundary")
     boundary = _numbers(raw, "--boundary", args.n).tolist()
-    u = harmonic_function(build_level(args.n, args.m), boundary)
+    u = _harmonic(build_level(args.n, args.m), boundary, "--boundary")
     _write_csv(out / "extension.csv", ["vertex", "value"], u.values)
     _write_csv(out / "profile.csv", ["m", "energy"], energy_profile(u))
     config = {"N": args.n, "m": args.m, "boundary": boundary}
@@ -357,7 +379,7 @@ def cmd_evolve(args, out: Path):
         _require(cfg, "u0", args.config), n, m, f"{args.config}:u0", args.seed
     )
     graph = u0.graph
-    measure = vertex_measure(graph, weights)
+    measure = _measure(graph, weights, f"{args.config}: weights")
     header = ["time"] + [f"vertex_{i}" for i in range(graph.vertex_count)]
     manifest = {"config": cfg, "seed": seed, "outputs": {"trajectory": "trajectory.csv"}}
     steps = itertools.count()  # the step of the next row, u0's being 0
@@ -387,7 +409,7 @@ def cmd_poisson(args, out: Path):
         f_cfg, n, m, f"{args.config}:f", args.seed, ("zero_boundary", "zero_mean")
     )
     graph = f.graph
-    measure = vertex_measure(graph, weights)
+    measure = _measure(graph, weights, f"{args.config}: weights")
     if f_cfg.get("zero_boundary", False):
         vals = f.values.copy()
         vals[list(graph.boundary)] = 0.0

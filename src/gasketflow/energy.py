@@ -13,7 +13,6 @@ restrictions is nondecreasing in m.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,39 +90,28 @@ def stiffness_matrix(form: EnergyForm) -> sp.csr_matrix:
     return (sp.diags(deg) + off).tocsr()
 
 
-@functools.lru_cache(maxsize=None)
 def _extension_matrix(n: int) -> np.ndarray:
     """Per-cell solve mapping the n corner values to the n(n-1)/2 midpoints.
 
     Inside one cell the refined energy is a strictly convex quadratic in the
     midpoint values; its stationarity conditions give the linear system
-    assembled here.  The matrix is shared by every cell of every level.
+    assembled here.  The matrix is the same for every cell of every level.
     """
     first, second = np.triu_indices(n, 1)
     b = np.eye(n)[first] + np.eye(n)[second]  # midpoint-corner incidence
     # two midpoints are coupled iff their corner pairs share one corner
     a = np.where(b @ b.T == 1, -1.0, 0.0)
     np.fill_diagonal(a, 2 * (n - 1))
-    solved = np.linalg.solve(a, b)
-    solved.setflags(write=False)
-    return solved
+    return np.linalg.solve(a, b)
 
 
-@functools.lru_cache(maxsize=None)
-def _extension_indices(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index plumbing from level m to level m+1.
-
-    Returns (copy_idx, corner_idx, mid_idx): fine indices of the coarse
-    vertices, coarse corner indices per cell, and fine midpoint indices per
-    cell in the pair order of np.triu_indices(n, 1).  The midpoint of
-    corners i and j of cell c is corner j of its child c * n + i.
-    """
-    corner_idx = build_level(n, m).cell_corners
-    fine_corners = build_level(n, m + 1).cell_corners
-    first, second = np.triu_indices(n, 1)
-    mid_idx = fine_corners[np.arange(len(corner_idx))[:, None] * n + first, second]
-    mid_idx.setflags(write=False)
-    return _restriction_indices(n, m, m + 1), corner_idx, mid_idx
+def _midpoint_indices(fine: GasketGraph) -> np.ndarray:
+    """Fine indices of the midpoints of each parent cell, in the pair order
+    of np.triu_indices(n, 1): the midpoint of corners i and j of cell c is
+    corner j of its child c * n + i."""
+    first, second = np.triu_indices(fine.n, 1)
+    parents = np.arange(len(fine.cell_corners) // fine.n)[:, None]
+    return fine.cell_corners[parents * fine.n + first, second]
 
 
 def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
@@ -136,15 +124,14 @@ def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
     _check_graph(form, u)
     g = u.graph
     fine = build_level(g.n, g.level + 1)
-    copy_idx, corner_idx, mid_idx = _extension_indices(g.n, g.level)
     rule = _extension_matrix(g.n)
     values = np.empty(fine.vertex_count)
-    values[copy_idx] = u.values
-    corners = u.values[corner_idx]
+    values[_restriction_indices(g.n, g.level, g.level + 1)] = u.values
+    corners = u.values[g.cell_corners]
     # the rule rows sum to 1, so applying it to offsets from a corner makes
     # the extension exactly translation invariant (constants stay constant)
     base = corners[:, :1]
-    values[mid_idx] = base + (corners - base) @ rule.T
+    values[_midpoint_indices(fine)] = base + (corners - base) @ rule.T
     return VertexFunction(fine, values)
 
 

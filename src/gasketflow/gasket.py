@@ -160,7 +160,6 @@ class VertexFunction:
         return f"VertexFunction(n={self.graph.n}, level={self.graph.level})"
 
 
-@functools.lru_cache(maxsize=None)
 def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:
     """Fine indices of the level-m vertices in the level-``big_level`` graph.
 
@@ -174,9 +173,7 @@ def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:
     incidence[coarse.cell_corners.ravel()] = np.arange(coarse.cell_corners.size)
     cell, corner = np.divmod(incidence, n)
     k = big_level - m
-    idx = fine.cell_corners[cell * n**k + corner * ((n**k - 1) // (n - 1)), corner]
-    idx.setflags(write=False)
-    return idx
+    return fine.cell_corners[cell * n**k + corner * ((n**k - 1) // (n - 1)), corner]
 
 
 def restrict(u: VertexFunction, m: int) -> VertexFunction:
@@ -190,7 +187,6 @@ def restrict(u: VertexFunction, m: int) -> VertexFunction:
     return VertexFunction(build_level(big.n, m), u.values[idx])
 
 
-@functools.lru_cache(maxsize=None)
 def simplex_vertices(n: int) -> np.ndarray:
     """Vertices p_1, ..., p_n of a regular unit-edge simplex in R^(n-1).
 
@@ -207,7 +203,6 @@ def simplex_vertices(n: int) -> np.ndarray:
         radius_sq = float(np.dot(pts[0] - centroid, pts[0] - centroid))
         pts[k] = centroid
         pts[k, k - 1] = np.sqrt(1.0 - radius_sq)
-    pts.setflags(write=False)
     return pts
 
 

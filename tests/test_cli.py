@@ -918,6 +918,55 @@ def test_evolve_t_end_off_the_grid_below_one_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+#: weights that pass MeasureWeights but whose level-3 masses underflow to 0,
+#: and finite boundary values whose harmonic extension overflows
+UNDERFLOWING_WEIGHTS = [1e-200, 0.5, 0.5]
+OVERFLOWING_BOUNDARY = [1.7e308, -1.7e308, 1.7e308]
+OVERFLOWING_HARMONIC = {"kind": "harmonic", "boundary": OVERFLOWING_BOUNDARY}
+
+
+def _config_args(tmp_path, command, **changes):
+    """The evolve or poisson argv, without ``--out``, of a known config
+    with ``changes`` applied."""
+    base = json.loads(read(DATA / "mixed_robin_config.json"))
+    doc = dict(base if command == "evolve" else POISSON_ABS, **changes)
+    return [command, "--config", write_config(tmp_path, doc)]
+
+
+def _assert_usage_error(args, out, capsys, *phrases):
+    assert run_cli([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert all(phrase in err for phrase in phrases), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weights, m", [(UNDERFLOWING_WEIGHTS, 3), ([1e-170, 0.5, 0.5], 2)])
+@pytest.mark.parametrize("command", ["gasket", "evolve", "poisson"])
+def test_weights_whose_masses_underflow_are_usage_error(tmp_path, capsys, command, weights, m):
+    # a level-m cell mass is a product of m weights
+    if command == "gasket":
+        args = ["gasket", "--n", 3, "--m", m, "--weights", ",".join(map(repr, weights))]
+    else:
+        args = _config_args(tmp_path, command, m=m, weights=weights)
+    phrases = (str(tuple(weights)), f"level-{m} vertex mass underflows to 0")
+    _assert_usage_error(args, tmp_path / "x", capsys, *phrases)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["extend", "evolve", "poisson"])
+def test_harmonic_data_whose_extension_overflows_is_usage_error(tmp_path, capsys, command):
+    # corner differences of 3.4e308 overflow; numpy's warning is silenced
+    if command == "extend":
+        boundary = ",".join(map(repr, OVERFLOWING_BOUNDARY))
+        args = ["extend", "--n", 3, "--m", 2, "--boundary", boundary]
+    else:
+        key = "u0" if command == "evolve" else "f"
+        args = _config_args(tmp_path, command, **{key: OVERFLOWING_HARMONIC})
+    phrase = "the harmonic extension to level 2 overflows"
+    _assert_usage_error(args, tmp_path / "x", capsys, phrase)
+
+
 # ---------------------------------------------------------------------------
 # every config ends in exit 0, 1 or 2
 
@@ -1060,6 +1109,10 @@ def _positive_number(value) -> bool:
 @example(("evolve", dict(FUZZ_BASES["evolve"][0], tau=1e-320)))
 @example(("evolve", dict(FUZZ_BASES["evolve"][0], t_end=1e308)))
 @example(("evolve", dict(RERUN_CONFIGS["evolve"], max_inner_iters=1)))
+@example(("evolve", dict(FUZZ_BASES["evolve"][0], m=3, weights=UNDERFLOWING_WEIGHTS)))
+@example(("poisson", dict(POISSON_ABS, m=3, weights=UNDERFLOWING_WEIGHTS)))
+@example(("evolve", dict(FUZZ_BASES["evolve"][0], u0=OVERFLOWING_HARMONIC)))
+@example(("poisson", dict(POISSON_ABS, f=OVERFLOWING_HARMONIC)))
 def test_every_config_ends_in_exit_0_1_or_2(case):
     command, doc = case
     for key, limit in (("N", 6), ("m", 3)):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
@@ -617,6 +618,30 @@ def test_level_convergence_ratio(n, top):
         deltas = [np.max(np.abs(b - a)) for a, b in zip(finals, finals[1:])]
         ratios = [a / b for a, b in zip(deltas, deltas[1:])]
         assert np.allclose(ratios, n + 2, rtol=0.02), (spec, ratios)
+
+
+@pytest.mark.parametrize(
+    "n, lowest",
+    [
+        (3, [30.0, 32.883539, 33.481408, 33.601844, 33.625966]),
+        (4, [48.0, 51.011811, 51.523909, 51.609542]),
+    ],
+)
+def test_lowest_dirichlet_eigenvalue_has_a_level_limit(n, lowest):
+    """The lowest eigenvalue of 2K on the interior against M (uniform
+    weights) converges in m: successive gaps shrink by a factor that tends
+    to 1 / (N + 2).  Levels 1 to len(lowest), at most 514 vertices."""
+    found = []
+    for m in range(1, len(lowest) + 1):
+        g, form, measure = _setup(n=n, m=m)
+        interior = np.setdiff1d(np.arange(g.vertex_count), g.boundary)
+        a_mat = 2.0 * stiffness_matrix(form).toarray()[np.ix_(interior, interior)]
+        m_mat = np.diag(measure.masses[interior])
+        found.append(scipy.linalg.eigh(a_mat, m_mat, subset_by_index=[0, 0])[0][0])
+    np.testing.assert_allclose(found, lowest, rtol=1e-7)
+    gaps = np.diff(found)
+    ratios = gaps[1:] / gaps[:-1]
+    assert np.all(np.abs(ratios[-2:] - 1.0 / (n + 2)) <= 0.01), ratios
 
 
 def test_advance_yields_the_steps_before_a_failure():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gasketflow.gasket as gasket_mod
-from gasketflow.energy import _extension_indices
+from gasketflow.energy import _midpoint_indices
 from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
@@ -75,11 +75,10 @@ def test_cell_tree_index_maps_match_weights(n):
     for m in range(3):
         coarse = build_level(n, m)
         coarse_labels = vertex_labels(coarse)
-        fine_labels = vertex_labels(build_level(n, m + 1))
-        _, corner_idx, mid_idx = _extension_indices(n, m)
+        fine = build_level(n, m + 1)
+        fine_labels = vertex_labels(fine)
         cells = coarse.cell_corners.tolist()
-        assert corner_idx.tolist() == cells
-        for cell, mids in zip(cells, mid_idx.tolist()):
+        for cell, mids in zip(cells, _midpoint_indices(fine).tolist(), strict=True):
             for (i, j), mid in zip(itertools.combinations(range(n), 2), mids):
                 wi, wj = coarse_labels[cell[i]], coarse_labels[cell[j]]
                 assert fine_labels[mid] == tuple(a + b for a, b in zip(wi, wj))
