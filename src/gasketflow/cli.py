@@ -14,14 +14,14 @@ Invalid input exits 2 with an ``error:`` message and writes nothing; that
 includes a config that is not UTF-8, a boolean where a spec parameter
 wants a number, and an ``--out`` that cannot be a directory.  Only the
 contents of ``u0`` / ``f``, the level-m vertex masses (which can underflow
-to 0) and a harmonic extension (which can overflow) are checked after the
-graph is built.  Evolve writes each ``trajectory.csv`` row as its step is
-made.  When a step's boundary solve does not converge, the rows written
-are the states before it; the command records the failing step, its
-residual and its sweep count under ``failure`` in the manifest, and exits
-1.  When a poisson boundary solve does not converge, the command writes
-``report.json`` with the sweep count and residual it stopped at, records
-them under ``failure`` and exits 1.
+to 0), a harmonic extension and the energy profile ``extend`` writes (both
+can overflow) are checked after the graph is built.  Evolve writes each
+``trajectory.csv`` row as its step is made.  When a step's boundary solve
+does not converge, the rows written are the states before it; the command
+records the failing step, its residual and its sweep count under
+``failure`` in the manifest, and exits 1.  When a poisson boundary solve
+does not converge, the command writes ``report.json`` with the sweep count
+and residual it stopped at, records them under ``failure`` and exits 1.
 """
 
 from __future__ import annotations
@@ -351,8 +351,13 @@ def cmd_extend(args, out: Path):
     raw = _comma_list(args.boundary, "--boundary")
     boundary = _numbers(raw, "--boundary", args.n).tolist()
     u = _harmonic(build_level(args.n, args.m), boundary, "--boundary")
+    with np.errstate(over="ignore"):  # the error line reports the overflow
+        profile = energy_profile(u)
+    overflows = [m for m, e in enumerate(profile) if not math.isfinite(e)]
+    if overflows:
+        raise ConfigError(f"--boundary {boundary}: the level-{overflows[0]} energy overflows")
     _write_csv(out / "extension.csv", ["vertex", "value"], u.values)
-    _write_csv(out / "profile.csv", ["m", "energy"], energy_profile(u))
+    _write_csv(out / "profile.csv", ["m", "energy"], profile)
     config = {"N": args.n, "m": args.m, "boundary": boundary}
     outputs = {"extension": "extension.csv", "profile": "profile.csv"}
     return {"config": config, "seed": None, "outputs": outputs}, 0
@@ -473,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="harmonic extension of boundary data")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--boundary", required=True, help="comma-separated boundary values")
+    p.add_argument("--boundary", required=True, help="comma-separated boundary values; a "
+                   "list that starts with a minus needs the = spelling, --boundary=-1,0,0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 

@@ -19,7 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError
-from .gasket import GasketGraph, VertexFunction, build_level, restrict, _restriction_indices
+from .gasket import (
+    GasketGraph, VertexFunction, _check_graph, _restriction_indices, build_level, restrict
+)
 
 
 @dataclass(frozen=True)
@@ -35,17 +37,9 @@ class EnergyForm:
         return ((g.n + 2) / g.n) ** g.level
 
 
-def _check_graph(form: EnergyForm, *funcs: VertexFunction) -> None:
-    for u in funcs:
-        if u.graph != form.graph:
-            raise DomainMismatchError(
-                f"function on {u.graph} does not match form on {form.graph}"
-            )
-
-
 def energy(form: EnergyForm, u: VertexFunction) -> float:
     """Renormalized sum of squared differences over unordered edges."""
-    _check_graph(form, u)
+    _check_graph(form.graph, u)
     return float(batch_energy(form, u.values))
 
 
@@ -67,7 +61,7 @@ def batch_energy(form: EnergyForm, values: np.ndarray) -> np.ndarray:
 
 def inner(form: EnergyForm, u: VertexFunction, v: VertexFunction) -> float:
     """Semi-inner product; bilinear, symmetric, with inner(u, u) = 2 * energy(u)."""
-    _check_graph(form, u, v)
+    _check_graph(form.graph, u, v)
     ei, ej = form.graph.edge_arrays
     du = u.values[ei] - u.values[ej]
     dv = v.values[ei] - v.values[ej]
@@ -121,7 +115,7 @@ def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
     cell's corner values.  The result satisfies
     energy_{m+1}(extension) = energy_m(u) exactly (up to roundoff).
     """
-    _check_graph(form, u)
+    _check_graph(form.graph, u)
     g = u.graph
     fine = build_level(g.n, g.level + 1)
     rule = _extension_matrix(g.n)

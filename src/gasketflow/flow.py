@@ -42,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError, DomainMismatchError
 from .energy import EnergyForm, stiffness_matrix
-from .gasket import GasketGraph, VertexFunction
+from .gasket import GasketGraph, VertexFunction, _check_arity, _check_graph
 from .measure import VertexMeasure, l2_norm, mean
 from .robin import RobinSpec
 
@@ -291,18 +291,12 @@ def _resolvent(form: EnergyForm, measure: VertexMeasure, tau: float) -> _Operato
     )
 
 
-def _check_domains(form: EnergyForm, measure: VertexMeasure, spec: RobinSpec) -> None:
-    if measure.graph != form.graph:
-        raise DomainMismatchError("measure and form live on different graphs")
-    if spec.n != form.graph.n:
-        raise DomainMismatchError("spec length does not match the graph")
-
-
 def advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
     """Step the (k, V) ensemble ``u0`` to t_end, holding only the current
     state and yielding after each backward Euler step its values and, per
     member, the boundary sweeps, KKT residual and interior residual."""
-    _check_domains(form, measure, spec)
+    _check_graph(form.graph, measure)
+    _check_arity(form.graph, spec)
     if u0.ndim != 2 or not len(u0) or u0.shape[1] != form.graph.vertex_count:
         raise DomainMismatchError("initial states must be a (k, V) array, k >= 1")
     if not np.all(np.isfinite(u0)):
@@ -359,8 +353,8 @@ def evolve(
     failed inner solve's ConvergenceError propagates.
     """
     single = isinstance(u0, VertexFunction)
-    if single and u0.graph != form.graph:
-        raise DomainMismatchError("initial state does not live on the form's graph")
+    if single:
+        _check_graph(form.graph, u0)
     start = u0.values[None] if single else np.asarray(u0, dtype=np.float64)
     states = [u0 if single else start]
     diagnostics: list[StepDiagnostics] = []
@@ -417,9 +411,8 @@ def poisson_solve(
     refused with a DomainMismatchError before the solve.
     """
     _check_solver_controls(tol, max_inner_iters)
-    _check_domains(form, measure, spec)
-    if f.graph != form.graph:
-        raise DomainMismatchError("source does not live on the form's graph")
+    _check_graph(form.graph, measure, f)
+    _check_arity(form.graph, spec)
     graph = form.graph
     pure_neumann = all(b.curvature == 0.0 for b in spec.functionals)
     total, slack = mean(measure, f), 1e-9 * (1.0 + l2_norm(measure, f))
@@ -464,6 +457,5 @@ def normal_derivative(u: VertexFunction, i: int) -> float:
     if not 0 <= i < g.n:
         raise DomainMismatchError(f"boundary index must be in [0, {g.n}), got {i}")
     p = g.boundary[i]
-    r = ((g.n + 2) / g.n) ** g.level
     nbrs = list(g.neighbors(p))
-    return r * float(np.sum(u.values[p] - u.values[nbrs]))
+    return EnergyForm(g).renormalization * float(np.sum(u.values[p] - u.values[nbrs]))

@@ -160,6 +160,21 @@ class VertexFunction:
         return f"VertexFunction(n={self.graph.n}, level={self.graph.level})"
 
 
+def _check_graph(graph: GasketGraph, *owners) -> None:
+    """Refuse a function, measure or form that lives on another graph."""
+    for owner in owners:
+        if owner.graph != graph:
+            name = type(owner).__name__
+            raise DomainMismatchError(f"{name} on {owner.graph} is not on {graph}")
+
+
+def _check_arity(graph: GasketGraph, owner) -> None:
+    """Refuse a spec or measure weights without one entry per boundary point."""
+    if owner.n != graph.n:
+        name = type(owner).__name__
+        raise DomainMismatchError(f"{name} has {owner.n} entries, graph has n={graph.n}")
+
+
 def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:
     """Fine indices of the level-m vertices in the level-``big_level`` graph.
 

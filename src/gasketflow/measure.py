@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError
-from .gasket import GasketGraph, VertexFunction
+from .gasket import GasketGraph, VertexFunction, _check_arity, _check_graph
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,7 @@ class VertexMeasure:
 
 def vertex_measure(graph: GasketGraph, weights: MeasureWeights) -> VertexMeasure:
     """Split each cell's product mass equally among its corners."""
-    if weights.n != graph.n:
-        raise DomainMismatchError(
-            f"weights have length {weights.n}, graph has n={graph.n}"
-        )
+    _check_arity(graph, weights)
     w = np.asarray(weights.weights)
     cell_mass = np.ones(1)
     for _ in range(graph.level):  # child c*n + i of cell c has mass mass_c * w_i
@@ -83,23 +80,17 @@ def vertex_measure(graph: GasketGraph, weights: MeasureWeights) -> VertexMeasure
     return VertexMeasure(graph, masses)
 
 
-def _check(measure: VertexMeasure, *funcs: VertexFunction) -> None:
-    for u in funcs:
-        if u.graph != measure.graph:
-            raise DomainMismatchError("function and measure live on different graphs")
-
-
 def l2_inner(measure: VertexMeasure, u: VertexFunction, v: VertexFunction) -> float:
-    _check(measure, u, v)
+    _check_graph(measure.graph, u, v)
     return float(np.sum(measure.masses * u.values * v.values))
 
 
 def l2_norm(measure: VertexMeasure, u: VertexFunction) -> float:
-    _check(measure, u)
+    _check_graph(measure.graph, u)
     return float(np.sqrt(np.sum(measure.masses * u.values * u.values)))
 
 
 def mean(measure: VertexMeasure, u: VertexFunction) -> float:
     """Integral of u against the measure (total mass is 1)."""
-    _check(measure, u)
+    _check_graph(measure.graph, u)
     return float(np.sum(measure.masses * u.values))

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError
-from .energy import EnergyForm, _check_graph, batch_energy
-from .gasket import VertexFunction
+from .energy import EnergyForm, batch_energy
+from .gasket import VertexFunction, _check_arity, _check_graph
 
 INF = math.inf
 EPS = math.ulp(1.0)
@@ -414,16 +413,13 @@ class RobinSpec:
 
 def perturbed_energy(form: EnergyForm, spec: RobinSpec, u: VertexFunction) -> float:
     """energy(u) plus the boundary penalties; infinity propagates."""
-    _check_graph(form, u)
+    _check_graph(form.graph, u)
     return float(batch_perturbed_energy(form, spec, u.values))
 
 
 def batch_perturbed_energy(form: EnergyForm, spec: RobinSpec, values: np.ndarray) -> np.ndarray:
     """Perturbed energies of many functions at once; rows index samples."""
-    if spec.n != form.graph.n:
-        raise DomainMismatchError(
-            f"spec has {spec.n} functionals, graph has n={form.graph.n}"
-        )
+    _check_arity(form.graph, spec)
     total = batch_energy(form, values)
     for b, idx in zip(spec.functionals, form.graph.boundary):
         total = total + b(values[..., idx])

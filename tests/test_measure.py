@@ -5,6 +5,7 @@ from gasketflow import (
     DomainMismatchError,
     MeasureWeights,
     VertexFunction,
+    VertexMeasure,
     build_level,
     harmonic_extend,
     l2_inner,
@@ -143,3 +144,13 @@ def test_measure_graph_mismatch():
         l2_inner(measure, u, u)
     with pytest.raises(DomainMismatchError):
         vertex_measure(g1, MeasureWeights.uniform(4))
+
+
+def test_one_weight_and_bad_mass_vectors_are_refused():
+    with pytest.raises(ValueError, match="need at least two weights"):
+        MeasureWeights((1.0,))
+    g = build_level(3, 1)
+    with pytest.raises(DomainMismatchError, match="mass vector does not match the graph"):
+        VertexMeasure(g, np.full(5, 0.2))
+    with pytest.raises(ValueError, match="vertex masses must sum to 1"):
+        VertexMeasure(g, np.full(6, 0.2))

@@ -590,6 +590,11 @@ def test_perturbed_submodularity_with_defect_identity():
         assert lhs - rhs == pytest.approx(inner(form, pos, neg), rel=1e-9, abs=1e-11)
 
 
+def test_spec_of_one_functional_is_refused():
+    with pytest.raises(ValueError, match="at least two boundary functionals"):
+        RobinSpec((neumann(),))
+
+
 def test_perturbed_energy_spec_length_mismatch():
     g, form = _setup()
     u = VertexFunction(g, np.zeros(g.vertex_count))

@@ -133,6 +133,14 @@ def test_locality_also_clean_at_level_one():
     assert report.violations == 0
 
 
+def test_locality_at_level_zero_draws_empty_families():
+    # no cell word has length 1 at level 0: both families are empty, u = v = 0
+    report = check_locality(
+        EnergyForm(build_level(3, 0)), RobinSpec.dirichlet(3), SampleConfig(seed=5, sample_count=20)
+    )
+    assert (report.samples, report.violations, report.max_slack) == (20, 0, 0.0)
+
+
 def _shared_vertex(graph, rng):
     # no edge has u != 0 at one end and v != 0 at the other
     mask = np.arange(graph.vertex_count) == graph.vertex_count // 2
