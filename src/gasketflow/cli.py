@@ -53,7 +53,7 @@ from .errors import (
 )
 from .flow import FlowConfig, _check_solver_controls, evolve, poisson_solve
 from .gasket import VertexFunction, build_level, vertex_coordinates
-from .measure import MeasureWeights, VertexMeasure, vertex_measure
+from .measure import MeasureWeights, VertexMeasure, mean, vertex_measure
 from .robin import RobinSpec
 from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 
@@ -420,7 +420,7 @@ def cmd_poisson(args, out: Path):
         vals[list(graph.boundary)] = 0.0
         f = VertexFunction(graph, vals)
     if f_cfg.get("zero_mean", False):
-        f = VertexFunction(graph, f.values - float(np.sum(measure.masses * f.values)))
+        f = VertexFunction(graph, f.values - mean(measure, f))
     try:
         u, report = poisson_solve(EnergyForm(graph), measure, spec, f, tol=tol)
     except ConvergenceError as exc:
@@ -529,7 +529,7 @@ def main(argv=None) -> int:
         })
         return code
     # on these command paths a DomainMismatchError can only come from the
-    # input, e.g. a pure Neumann poisson config whose source has nonzero mean
+    # input, e.g. a poisson source whose mean outgrows the boundary penalties
     except (ConfigError, ResourceLimitError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

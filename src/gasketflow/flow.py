@@ -403,12 +403,12 @@ def poisson_solve(
     containing  mu({p_i}) f(p_i);  with a source vanishing on the boundary
     this is the exact discrete Robin condition.
 
-    Pure Neumann specs require a mu-mean-zero source and return the
-    mu-mean-zero solution (the constant gauge is fixed).  In general,
-    along the constants u = s the objective grows like
+    Along the constants u = s the objective grows like
     sum_i B_i(s) - s (f, 1)_mu, so a source whose mean outgrows the sum of
-    the penalties' ``slopes`` in its direction has no minimizer; both are
-    refused with a DomainMismatchError before the solve.
+    the penalties' ``slopes`` in its direction has no minimizer, and is
+    refused with a DomainMismatchError before the solve.  A pure Neumann
+    spec has slopes (0, 0), so it needs a mu-mean-zero source; its
+    solution is returned with mu-mean zero (the constant gauge is fixed).
     """
     _check_solver_controls(tol, max_inner_iters)
     _check_graph(form.graph, measure, f)
@@ -416,10 +416,6 @@ def poisson_solve(
     graph = form.graph
     pure_neumann = all(b.curvature == 0.0 for b in spec.functionals)
     total, slack = mean(measure, f), 1e-9 * (1.0 + l2_norm(measure, f))
-    if pure_neumann and abs(total) > slack:
-        raise DomainMismatchError(
-            f"pure Neumann problem needs a mu-mean-zero source, got mean {total}"
-        )
     growth = sum(b.slopes[int(total > 0)] for b in spec.functionals)
     if growth < abs(total) - slack:
         raise DomainMismatchError(

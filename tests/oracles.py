@@ -358,7 +358,68 @@ def resolvent_oracle(form, measure, spec, u_values, tau, iters=200_000, tol=1e-1
 def cell_tree_schur(n: int, m: int, weights, tau: float) -> np.ndarray:
     """The Schur complement onto V_0, in the order p_1, ..., p_n, of the
     backward Euler operator 2K + M/tau at level m, by elimination up the
-    cell tree (Kigami, Analysis on Fractals, 2001, ch. 3).
+    cell tree (Kigami, Analysis on Fractals, 2001, ch. 3): the first
+    return of ``_cell_tree_up`` with no load."""
+    return _cell_tree_up(n, m, weights, tau, np.zeros((n**m, n)))[0]
+
+
+def cell_tree_step(graph, weights, spec, u0: np.ndarray, tau: float, tol=1e-13) -> np.ndarray:
+    """One backward Euler step of the Robin flow from ``u0``, the minimizer
+    of u.Ku + sum_i B_i(u(p_i)) + |u - u0|_mu^2 / (2 tau), by elimination
+    up the cell tree.
+
+    The load (mu_c / (n tau)) u0(corners) of each level-m cell is carried
+    up with its block, the n boundary values solve the reduced problem
+    1/2 w.Sw - w.b + sum_i B_i(w_i) by dense proximal gradient, as
+    ``resolvent_oracle`` does, until a pass moves them by less than
+    ``tol``, and the junction values are recovered on the way down.
+    """
+    n, m = graph.n, graph.level
+    corners = graph.cell_corners
+    loads = _cell_masses(weights, m)[:, None] / (n * tau) * u0[corners]
+    s_mat, load, maps = _cell_tree_up(n, m, weights, tau, loads)
+    eta = 1.0 / float(np.linalg.eigvalsh(s_mat).max())
+    functionals = spec.functionals
+    w = np.array([b.prox(1.0, u0[i]) for i, b in zip(graph.boundary, functionals)])
+    for _ in range(200_000):
+        step = w - eta * (s_mat @ w - load)
+        new = np.array([b.prox(eta, x) for b, x in zip(functionals, step)])
+        done = float(np.max(np.abs(new - w))) < tol
+        w = new
+        if done:
+            break
+    glued = _glued(n)
+    values = w[None]
+    for eliminated in reversed(maps):  # from the top down
+        junctions = eliminated[:, :, n] - (eliminated[:, :, :n] @ values[:, :, None])[:, :, 0]
+        full = np.concatenate([values, junctions], axis=1)
+        values = full[:, glued].reshape(-1, n)  # [parent, j, i] -> child parent * n + j
+    out = np.empty(graph.vertex_count)
+    out[corners] = values
+    return out
+
+
+def _cell_masses(weights, m: int) -> np.ndarray:
+    """The level-m cell masses; child c*n + i of cell c has mass mu_c * w_i."""
+    cell_mass = np.ones(1)
+    for _ in range(m):
+        cell_mass = np.outer(cell_mass, weights).ravel()
+    return cell_mass
+
+
+def _glued(n: int) -> np.ndarray:
+    """glued[j, i]: the index of child j's corner i among the parent's n
+    corners and then its n(n-1)/2 junctions, in the pair order of
+    np.triu_indices(n, 1)."""
+    first, second = np.triu_indices(n, 1)
+    glued = np.diag(np.arange(n))
+    glued[first, second] = glued[second, first] = n + np.arange(len(first))
+    return glued
+
+
+def _cell_tree_up(n: int, m: int, weights, tau: float, loads: np.ndarray):
+    """Eliminate 2K + M/tau and the (n**m, n) corner ``loads`` of the
+    level-m cells up to V_0.
 
     Cells meet only at corners, so the operator is a sum of n x n cell
     blocks: 2 r_m (n I - J) + mu_c / (n tau) I for a level-m cell of mass
@@ -366,29 +427,30 @@ def cell_tree_schur(n: int, m: int, weights, tau: float) -> np.ndarray:
     parent are glued (child j's corner i is the parent's corner j if i = j,
     else the junction F_j(p_i) = F_i(p_j)) and the n(n-1)/2 junctions are
     eliminated by one batched dense solve per depth.  No graph, sparse
-    matrix or SuperLU is involved.
+    matrix or SuperLU is involved.  Returns the V_0 block and load and,
+    per depth from the bottom up, the (parents, junctions, n + 1) solves
+    [X | x] with junction values x - X @ corner values.
     """
-    cell_mass = np.ones(1)
-    for _ in range(m):  # child c*n + i of cell c has mass mass_c * mu_i
-        cell_mass = np.outer(cell_mass, weights).ravel()
     eye = np.eye(n)
     stiffness = 2.0 * ((n + 2) / n) ** m * (n * eye - 1.0)
-    blocks = stiffness + (cell_mass / (n * tau))[:, None, None] * eye
-    # glued[j, i]: index of child j's corner i among the parent's n corners
-    # and then its junctions, in the pair order of np.triu_indices(n, 1)
-    first, second = np.triu_indices(n, 1)
-    glued = np.diag(np.arange(n))
-    glued[first, second] = glued[second, first] = n + np.arange(len(first))
-    size = n + len(first)
+    blocks = stiffness + (_cell_masses(weights, m) / (n * tau))[:, None, None] * eye
+    glued, size = _glued(n), n * (n + 1) // 2
+    maps = []
     for _ in range(m):
         children = blocks.reshape(-1, n, n, n)  # [parent, j]: cell parent * n + j
+        child_loads = loads.reshape(-1, n, n)
         parent = np.zeros((len(children), size, size))
+        rhs = np.zeros((len(children), size))
         for j in range(n):
             parent[:, glued[j][:, None], glued[j][None, :]] += children[:, j]
+            rhs[:, glued[j]] += child_loads[:, j]
         corners, junctions = parent[:, :n], parent[:, n:]
-        eliminated = np.linalg.solve(junctions[:, :, n:], junctions[:, :, :n])
-        blocks = corners[:, :, :n] - corners[:, :, n:] @ eliminated
-    return blocks[0]
+        right = np.concatenate([junctions[:, :, :n], rhs[:, n:, None]], axis=2)
+        eliminated = np.linalg.solve(junctions[:, :, n:], right)
+        blocks = corners[:, :, :n] - corners[:, :, n:] @ eliminated[:, :, :n]
+        loads = rhs[:, :n] - (corners[:, :, n:] @ eliminated[:, :, n:])[:, :, 0]
+        maps.append(eliminated)
+    return blocks[0], loads[0], maps
 
 
 def form_semigroup(form, measure, q: np.ndarray, t: float, pinned=()) -> np.ndarray:
