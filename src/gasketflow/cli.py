@@ -249,7 +249,8 @@ def _measure(graph, weights: MeasureWeights, what: str) -> VertexMeasure:
 
 def _harmonic(graph, boundary: list[float], what: str) -> VertexFunction:
     """``harmonic_function``; an extension that overflows is a ConfigError."""
-    with np.errstate(over="ignore"):  # the error line reports the overflow
+    # the error line reports the overflow (past it, inf - inf is nan)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
             return harmonic_function(graph, boundary)
         except ValueError as exc:

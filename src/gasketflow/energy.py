@@ -19,9 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError
-from .gasket import (
-    GasketGraph, VertexFunction, _check_graph, _restriction_indices, build_level, restrict
-)
+from .gasket import GasketGraph, VertexFunction, _check_graph, build_level, restrict
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,22 @@ def _extension_matrix(n: int) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _midpoint_indices(fine: GasketGraph) -> np.ndarray:
-    """Fine indices of the midpoints of each parent cell, in the pair order
-    of np.triu_indices(n, 1): the midpoint of corners i and j of cell c is
-    corner j of its child c * n + i."""
-    first, second = np.triu_indices(fine.n, 1)
-    parents = np.arange(len(fine.cell_corners) // fine.n)[:, None]
-    return fine.cell_corners[parents * fine.n + first, second]
+def _refine(corners: np.ndarray, rule: np.ndarray) -> np.ndarray:
+    """Corner values of the children of cells with the ``(C, n)`` ``corners``.
+
+    Child c * n + i of cell c keeps corner i of its parent; its corner j != i
+    is the midpoint of corners i and j, also corner i of child c * n + j.
+    """
+    cells, n = corners.shape
+    # the rule rows sum to 1, so applying it to offsets from a corner makes
+    # the extension exactly translation invariant (constants stay constant)
+    base = corners[:, :1]
+    mids = base + (corners - base) @ rule.T
+    first, second = np.triu_indices(n, 1)
+    children = np.empty((cells, n, n))
+    children[:, first, second] = children[:, second, first] = mids
+    children[:, np.arange(n), np.arange(n)] = corners
+    return children.reshape(cells * n, n)
 
 
 def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
@@ -118,14 +125,8 @@ def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
     _check_graph(form.graph, u)
     g = u.graph
     fine = build_level(g.n, g.level + 1)
-    rule = _extension_matrix(g.n)
     values = np.empty(fine.vertex_count)
-    values[_restriction_indices(g.n, g.level, g.level + 1)] = u.values
-    corners = u.values[g.cell_corners]
-    # the rule rows sum to 1, so applying it to offsets from a corner makes
-    # the extension exactly translation invariant (constants stay constant)
-    base = corners[:, :1]
-    values[_midpoint_indices(fine)] = base + (corners - base) @ rule.T
+    values[fine.cell_corners] = _refine(u.values[g.cell_corners], _extension_matrix(g.n))
     return VertexFunction(fine, values)
 
 
@@ -133,27 +134,24 @@ def harmonic_function(graph: GasketGraph, boundary_values) -> VertexFunction:
     """Iterated minimal-energy extension of boundary data up to graph.level.
 
     ``boundary_values[i]`` is the value at p_i (boundary order, which is not
-    the lexicographic vertex order).
+    the lexicographic vertex order), i.e. corner i of the level-0 cell.  The
+    corners are refined down the cell tree, so only ``graph`` is built.
     """
     boundary_values = np.asarray(boundary_values, dtype=np.float64)
     if boundary_values.shape != (graph.n,):
         raise DomainMismatchError(
             f"expected {graph.n} boundary values, got shape {boundary_values.shape}"
         )
-    base = build_level(graph.n, 0)
-    values = np.empty(graph.n)
-    values[list(base.boundary)] = boundary_values
-    u = VertexFunction(base, values)
-    for m in range(graph.level):
-        u = harmonic_extend(EnergyForm(build_level(graph.n, m)), u)
-    return u
+    corners = boundary_values[None, :]
+    rule = _extension_matrix(graph.n)
+    for _ in range(graph.level):
+        corners = _refine(corners, rule)
+    values = np.empty(graph.vertex_count)
+    values[graph.cell_corners] = corners
+    return VertexFunction(graph, values)
 
 
 def energy_profile(u: VertexFunction) -> list[float]:
     """Energies of the restrictions of u at levels 0..M (nondecreasing)."""
-    g = u.graph
-    out = []
-    for m in range(g.level + 1):
-        form = EnergyForm(build_level(g.n, m))
-        out.append(energy(form, restrict(u, m)))
-    return out
+    restrictions = (restrict(u, m) for m in range(u.graph.level + 1))
+    return [energy(EnergyForm(v.graph), v) for v in restrictions]

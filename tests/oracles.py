@@ -366,37 +366,75 @@ def cell_tree_schur(n: int, m: int, weights, tau: float) -> np.ndarray:
 def cell_tree_step(graph, weights, spec, u0: np.ndarray, tau: float, tol=1e-13) -> np.ndarray:
     """One backward Euler step of the Robin flow from ``u0``, the minimizer
     of u.Ku + sum_i B_i(u(p_i)) + |u - u0|_mu^2 / (2 tau), by elimination
-    up the cell tree.
+    up the cell tree: ``_cell_tree_solve`` with the load
+    (mu_c / (n tau)) u0(corners) of each level-m cell."""
+    loads = _cell_masses(weights, graph.level)[:, None] / (graph.n * tau) * u0[graph.cell_corners]
+    start = np.array([b.prox(1.0, u0[i]) for i, b in zip(graph.boundary, spec.functionals)])
+    return _cell_tree_solve(graph, weights, spec, tau, loads, start, 1.0, tol)
 
-    The load (mu_c / (n tau)) u0(corners) of each level-m cell is carried
-    up with its block, the n boundary values solve the reduced problem
-    1/2 w.Sw - w.b + sum_i B_i(w_i) by dense proximal gradient, as
-    ``resolvent_oracle`` does, until a pass moves them by less than
-    ``tol``, and the junction values are recovered on the way down.
+
+def cell_tree_poisson(graph, weights, spec, f: np.ndarray, tol=1e-13) -> np.ndarray:
+    """The Poisson solution, the minimizer of u.Ku / 2 + sum_i B_i(u(p_i))
+    - (f, u)_mu, by elimination up the cell tree.  ``_cell_tree_up``
+    eliminates 2K, so the load (mu_c / n) f(corners) and the penalties are
+    doubled, and tau = inf drops the mass term.  A pure-Neumann spec needs
+    a gauge, which this does not fix."""
+    loads = 2.0 * _cell_masses(weights, graph.level)[:, None] / graph.n * f[graph.cell_corners]
+    return _cell_tree_solve(graph, weights, spec, math.inf, loads, np.zeros(graph.n), 2.0, tol)
+
+
+def _cell_tree_solve(graph, weights, spec, tau, loads, w, scale, tol) -> np.ndarray:
+    """Minimize u.(2K + M/tau)u / 2 - u.loads + scale * sum_i B_i(u(p_i)).
+
+    The loads go up the cell tree with the blocks, the n boundary values
+    solve the reduced problem 1/2 w.Sw - w.b + scale * sum_i B_i(w_i) by
+    dense proximal gradient from ``w``, as ``resolvent_oracle`` does, until
+    a pass moves them by less than ``tol``, and the junction values are
+    recovered on the way down.
     """
-    n, m = graph.n, graph.level
-    corners = graph.cell_corners
-    loads = _cell_masses(weights, m)[:, None] / (n * tau) * u0[corners]
-    s_mat, load, maps = _cell_tree_up(n, m, weights, tau, loads)
+    s_mat, load, maps = _cell_tree_up(graph.n, graph.level, weights, tau, loads)
     eta = 1.0 / float(np.linalg.eigvalsh(s_mat).max())
     functionals = spec.functionals
-    w = np.array([b.prox(1.0, u0[i]) for i, b in zip(graph.boundary, functionals)])
     for _ in range(200_000):
         step = w - eta * (s_mat @ w - load)
-        new = np.array([b.prox(eta, x) for b, x in zip(functionals, step)])
+        new = np.array([b.prox(scale * eta, x) for b, x in zip(functionals, step)])
         done = float(np.max(np.abs(new - w))) < tol
         w = new
         if done:
             break
-    glued = _glued(n)
     values = w[None]
     for eliminated in reversed(maps):  # from the top down
-        junctions = eliminated[:, :, n] - (eliminated[:, :, :n] @ values[:, :, None])[:, :, 0]
-        full = np.concatenate([values, junctions], axis=1)
-        values = full[:, glued].reshape(-1, n)  # [parent, j, i] -> child parent * n + j
+        values = _descend(values, eliminated)
     out = np.empty(graph.vertex_count)
-    out[corners] = values
+    out[graph.cell_corners] = values
     return out
+
+
+def dirichlet_eigenfunction(n: int, m: int) -> tuple[float, np.ndarray]:
+    """The lowest Dirichlet eigenvalue z of the normalized Laplacian
+    I - D^-1 A at level m, and its eigenfunction as the (n**m, n) corner
+    values of the level-m cells, by spectral decimation (Fukushima & Shima,
+    Potential Anal. 1 (1992); Strichartz, Differential Equations on
+    Fractals, 2006, sec. 3.2).
+
+    Per cell the eigen equation is (n I - J) - z (n - 1) I: ``_glue``'s
+    gluing with mass coefficient -z.  The level-1 pair is the lowest of
+    the junction block, each junction having mass 2 (n - 1).  Level k - 1
+    is the restriction of level k with z_{k-1} = z_k (a - b z_k), a = n + 2
+    and b = 2 (n - 1); the smaller root z_k = 2 z_{k-1} / (a + sqrt(a^2 -
+    4 b z_{k-1})) avoids the exceptional values and the cancellation, and
+    each cell is refined by solving its junction rows.
+    """
+    eye, a, b, no_load = np.eye(n), n + 2.0, 2.0 * (n - 1), np.zeros((n, n))
+    parent, _ = _glue(np.broadcast_to(n * eye - 1.0, (n, n, n)), no_load)
+    lams, vecs = np.linalg.eigh(parent[0, n:, n:] / b)
+    z, values = lams[0], np.concatenate([np.zeros(n), vecs[:, 0]])[_glued(n)]
+    for _ in range(m - 1):
+        z = 2.0 * z / (a + math.sqrt(a * a - 4.0 * b * z))
+        cell = n * eye - 1.0 - z * (n - 1) * eye
+        parent, rhs = _glue(np.broadcast_to(cell, (n, n, n)), no_load)
+        values = _descend(values, _eliminate(n, parent, rhs)[2])
+    return z, values
 
 
 def _cell_masses(weights, m: int) -> np.ndarray:
@@ -417,6 +455,46 @@ def _glued(n: int) -> np.ndarray:
     return glued
 
 
+def _glue(blocks: np.ndarray, loads: np.ndarray):
+    """The (parents, size, size) blocks and (parents, size) loads on the n
+    corners and n(n-1)/2 junctions of each parent, summed from the
+    (n * parents, n, n) ``blocks`` and (n * parents, n) ``loads`` of its
+    children: child j's corner i is the parent's corner j if i = j, else
+    the junction F_j(p_i) = F_i(p_j)."""
+    n = blocks.shape[-1]
+    glued, size = _glued(n), n * (n + 1) // 2
+    children = blocks.reshape(-1, n, n, n)  # [parent, j]: cell parent * n + j
+    child_loads = loads.reshape(-1, n, n)
+    parent = np.zeros((len(children), size, size))
+    rhs = np.zeros((len(children), size))
+    for j in range(n):
+        parent[:, glued[j][:, None], glued[j][None, :]] += children[:, j]
+        rhs[:, glued[j]] += child_loads[:, j]
+    return parent, rhs
+
+
+def _eliminate(n: int, parent: np.ndarray, rhs: np.ndarray):
+    """Eliminate the junctions of ``_glue``'s blocks and loads: the
+    parents' n x n blocks and n loads, and the (parents, junctions, n + 1)
+    solves [X | x] with junction values x - X @ corner values."""
+    corners, junctions = parent[:, :n], parent[:, n:]
+    right = np.concatenate([junctions[:, :, :n], rhs[:, n:, None]], axis=2)
+    eliminated = np.linalg.solve(junctions[:, :, n:], right)
+    blocks = corners[:, :, :n] - corners[:, :, n:] @ eliminated[:, :, :n]
+    loads = rhs[:, :n] - (corners[:, :, n:] @ eliminated[:, :, n:])[:, :, 0]
+    return blocks, loads, eliminated
+
+
+def _descend(values: np.ndarray, eliminated: np.ndarray) -> np.ndarray:
+    """The (parents * n, n) corner values of the children from the
+    (parents, n) corner values of their parents and the parents' junction
+    solves [X | x] (broadcast if there is one)."""
+    n = values.shape[1]
+    junctions = eliminated[:, :, n] - (eliminated[:, :, :n] @ values[:, :, None])[:, :, 0]
+    full = np.concatenate([values, junctions], axis=1)
+    return full[:, _glued(n)].reshape(-1, n)  # [parent, j, i] -> child parent * n + j
+
+
 def _cell_tree_up(n: int, m: int, weights, tau: float, loads: np.ndarray):
     """Eliminate 2K + M/tau and the (n**m, n) corner ``loads`` of the
     level-m cells up to V_0.
@@ -424,31 +502,17 @@ def _cell_tree_up(n: int, m: int, weights, tau: float, loads: np.ndarray):
     Cells meet only at corners, so the operator is a sum of n x n cell
     blocks: 2 r_m (n I - J) + mu_c / (n tau) I for a level-m cell of mass
     mu_c, with r_m = ((n+2)/n)**m.  One level up, the n children of each
-    parent are glued (child j's corner i is the parent's corner j if i = j,
-    else the junction F_j(p_i) = F_i(p_j)) and the n(n-1)/2 junctions are
-    eliminated by one batched dense solve per depth.  No graph, sparse
-    matrix or SuperLU is involved.  Returns the V_0 block and load and,
-    per depth from the bottom up, the (parents, junctions, n + 1) solves
-    [X | x] with junction values x - X @ corner values.
+    parent are glued and the n(n-1)/2 junctions are eliminated by one
+    batched dense solve per depth.  No graph, sparse matrix or SuperLU is
+    involved.  Returns the V_0 block and load and, per depth from the
+    bottom up, the junction solves of ``_eliminate``.
     """
     eye = np.eye(n)
     stiffness = 2.0 * ((n + 2) / n) ** m * (n * eye - 1.0)
     blocks = stiffness + (_cell_masses(weights, m) / (n * tau))[:, None, None] * eye
-    glued, size = _glued(n), n * (n + 1) // 2
     maps = []
     for _ in range(m):
-        children = blocks.reshape(-1, n, n, n)  # [parent, j]: cell parent * n + j
-        child_loads = loads.reshape(-1, n, n)
-        parent = np.zeros((len(children), size, size))
-        rhs = np.zeros((len(children), size))
-        for j in range(n):
-            parent[:, glued[j][:, None], glued[j][None, :]] += children[:, j]
-            rhs[:, glued[j]] += child_loads[:, j]
-        corners, junctions = parent[:, :n], parent[:, n:]
-        right = np.concatenate([junctions[:, :, :n], rhs[:, n:, None]], axis=2)
-        eliminated = np.linalg.solve(junctions[:, :, n:], right)
-        blocks = corners[:, :, :n] - corners[:, :, n:] @ eliminated[:, :, :n]
-        loads = rhs[:, :n] - (corners[:, :, n:] @ eliminated[:, :, n:])[:, :, 0]
+        blocks, loads, eliminated = _eliminate(n, *_glue(blocks, loads))
         maps.append(eliminated)
     return blocks[0], loads[0], maps
 

@@ -641,14 +641,21 @@ RERUN_FLAGS = {
 def test_manifest_config_reruns_bitwise(tmp_path, command, output, flags):
     doc = RERUN_CONFIGS[command]
     if "--seed" in flags and command == "evolve":  # the poisson source is random already
-        doc = dict(doc, u0={"kind": "random", "seed": 11})
+        # from a random u0 the evolve spec writes the same bytes at both tols
+        doc = dict(doc, spec=RERUN_CONFIGS["poisson"]["spec"], u0={"kind": "random", "seed": 11})
     first, second = tmp_path / "first", tmp_path / "second"
-    args = [command, "--config", write_config(tmp_path, doc), "--out", first, *flags]
+    config_path = write_config(tmp_path, doc)
+    args = [command, "--config", config_path, "--out", first, *flags]
     assert run_cli(args) == 0
     config = json.loads(read(first / "manifest.json"))["config"]
     rerun = write_config(tmp_path, config, "rerun.json")
     assert run_cli([command, "--config", rerun, "--out", second]) == 0
     assert (first / output).read_bytes() == (second / output).read_bytes()
+    if "--tol" in flags:  # the case can see a rerun that lost its tol
+        default, at = tmp_path / "default", flags.index("--tol")
+        without_tol = flags[:at] + flags[at + 2 :]
+        assert run_cli([command, "--config", config_path, "--out", default, *without_tol]) == 0
+        assert (first / output).read_bytes() != (default / output).read_bytes()
 
 
 def test_evolve_nan_tol_flag_is_usage_error(tmp_path, capsys):

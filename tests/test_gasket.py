@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gasketflow.gasket as gasket_mod
-from gasketflow.energy import _midpoint_indices
 from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
@@ -95,9 +94,16 @@ def test_cell_tree_index_maps_match_weights(n):
         coarse_labels = vertex_labels(coarse)
         fine = build_level(n, m + 1)
         fine_labels = vertex_labels(fine)
-        cells = coarse.cell_corners.tolist()
-        for cell, mids in zip(cells, _midpoint_indices(fine).tolist(), strict=True):
-            for (i, j), mid in zip(itertools.combinations(range(n), 2), mids):
+        children = fine.cell_corners.tolist()
+        for c, cell in enumerate(coarse.cell_corners.tolist()):
+            # child i keeps corner i; the midpoint of corners i and j is
+            # corner j of child i and corner i of child j
+            for i in range(n):
+                wi = coarse_labels[cell[i]]
+                assert fine_labels[children[c * n + i][i]] == tuple(2 * w for w in wi)
+            for i, j in itertools.combinations(range(n), 2):
+                mid = children[c * n + i][j]
+                assert mid == children[c * n + j][i]
                 wi, wj = coarse_labels[cell[i]], coarse_labels[cell[j]]
                 assert fine_labels[mid] == tuple(a + b for a, b in zip(wi, wj))
         for big in range(m, m + 3):
