@@ -133,9 +133,8 @@ def harmonic_extend(form: EnergyForm, u: VertexFunction) -> VertexFunction:
 def harmonic_function(graph: GasketGraph, boundary_values) -> VertexFunction:
     """Iterated minimal-energy extension of boundary data up to graph.level.
 
-    ``boundary_values[i]`` is the value at p_i (boundary order, which is not
-    the lexicographic vertex order), i.e. corner i of the level-0 cell.  The
-    corners are refined down the cell tree, so only ``graph`` is built.
+    ``boundary_values[i]`` is the value at p_i, corner i of the level-0 cell
+    (boundary order, not lexicographic), refined down the cell tree to graph.
     """
     boundary_values = np.asarray(boundary_values, dtype=np.float64)
     if boundary_values.shape != (graph.n,):
@@ -153,5 +152,9 @@ def harmonic_function(graph: GasketGraph, boundary_values) -> VertexFunction:
 
 def energy_profile(u: VertexFunction) -> list[float]:
     """Energies of the restrictions of u at levels 0..M (nondecreasing)."""
-    restrictions = (restrict(u, m) for m in range(u.graph.level + 1))
-    return [energy(EnergyForm(v.graph), v) for v in restrictions]
+    g = u.graph
+    out = []
+    for m in range(g.level + 1):
+        form = EnergyForm(build_level(g.n, m))
+        out.append(energy(form, restrict(u, m)))
+    return out
