@@ -39,16 +39,24 @@ def manifest_without_timings(path: Path) -> dict:
     return doc
 
 
-def _cli_import_loads(module: str) -> bool:
-    """Whether ``import gasketflow.cli`` loads ``module`` in a fresh
-    interpreter: this one has imported scipy.optimize for the oracles."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this gasketflow:
+    this one has imported gasketflow.cli and scipy.optimize long before."""
     src = str(Path(gasketflow.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, gasketflow.cli; sys.exit({module!r} in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
-    return proc.returncode != 0
+
+
+def _cli_import_loads(module: str) -> bool:
+    """Whether ``import gasketflow.cli`` loads ``module``."""
+    code = f"import sys, gasketflow.cli; sys.exit({module!r} in sys.modules)"
+    return _fresh_python(code).returncode != 0
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -58,6 +66,30 @@ def test_cli_import_leaves_out_scipy_optimize():
 def test_cli_import_leaves_out_orjson():
     # only the CSV writer needs it, so verify and the library never load it
     assert not _cli_import_loads("orjson")
+
+
+def test_cli_import_freezes_the_import_heap_and_only_it():
+    code = """if True:
+        import gc, weakref
+        import gasketflow
+        assert gc.get_freeze_count() == 0, "import gasketflow froze the heap"
+        enabled = gc.isenabled()
+        import gasketflow.cli
+        assert gc.get_freeze_count() > 0, "import gasketflow.cli froze nothing"
+        assert gc.isenabled() == enabled, "the collector was switched"
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None, "a cycle made after the freeze was not freed"
+    """
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

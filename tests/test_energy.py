@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketflow import (
     DomainMismatchError,
     EnergyForm,
+    MeasureWeights,
     VertexFunction,
     batch_energy,
     build_level,
@@ -18,6 +20,7 @@ from gasketflow import (
     inner,
     restrict,
     stiffness_matrix,
+    vertex_measure,
 )
 from gasketflow.energy import _extension_matrix
 
@@ -117,6 +120,20 @@ def test_stiffness_matrix_reproduces_energy():
     assert float(u.values @ (k @ u.values)) == pytest.approx(
         energy(form, u), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "n, m, weights", [(3, 4, (0.5, 0.3, 0.2)), (4, 3, None), (5, 2, None)]
+)
+def test_stiffness_and_resolvent_are_exactly_symmetric(n, m, weights):
+    # flow._Operator takes A_IB as A_BI^T, which needs bitwise symmetry
+    form = _form(n, m)
+    w = MeasureWeights.uniform(n) if weights is None else MeasureWeights(weights)
+    masses = vertex_measure(form.graph, w).masses
+    k = stiffness_matrix(form)
+    resolvent = (2.0 * k + sp.diags(masses / 0.01)).tocsr()
+    for a in (k, resolvent):
+        assert (a != a.T).nnz == 0
 
 
 def test_batch_energy_matches_scalar():
