@@ -369,6 +369,17 @@ def cmd_extend(args, out: Path):
     return {"config": config, "seed": None, "outputs": outputs}, 0
 
 
+#: the most fields (times and vertex values) ``evolve`` may write to
+#: ``trajectory.csv``; 2**31 fields is about 40 GB of CSV
+MAX_TRAJECTORY_FIELDS = 2**31
+
+
+def _trajectory_fields(n: int, m: int, n_steps: int) -> int:
+    """Fields of an evolve ``trajectory.csv``: n_steps + 1 rows of a time
+    and V = N + C(N,2)(N^m - 1)/(N - 1) vertex values."""
+    return (n_steps + 1) * (n + n * (n**m - 1) // 2 + 1)
+
+
 def _report_failure(exc: ConvergenceError) -> None:
     print(f"error: {exc} (residual={exc.residual})", file=sys.stderr)
 
@@ -386,6 +397,13 @@ def cmd_evolve(args, out: Path):
         )
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
+    # before the graph is built; the build refuses every m past 64 itself
+    fields = _trajectory_fields(n, m, flow_cfg.n_steps) if m <= 64 else 0
+    if fields > MAX_TRAJECTORY_FIELDS:
+        raise ResourceLimitError(
+            f"{args.config}: trajectory.csv would hold {fields} fields "
+            f"({flow_cfg.n_steps + 1} rows); the limit is {MAX_TRAJECTORY_FIELDS}"
+        )
     u0, seed = _parse_vertex_data(
         _require(cfg, "u0", args.config), n, m, f"{args.config}:u0", args.seed
     )
@@ -425,6 +443,7 @@ def cmd_poisson(args, out: Path):
         vals = f.values.copy()
         vals[list(graph.boundary)] = 0.0
         f = VertexFunction(graph, vals)
+        del vals  # f holds its own copy; one is enough through the solve
     if f_cfg.get("zero_mean", False):
         f = VertexFunction(graph, f.values - mean(measure, f))
     try:

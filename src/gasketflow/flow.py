@@ -238,32 +238,52 @@ def _solve_boundary_inclusion(
 
 
 class _Operator:
-    """A sparse SPD matrix with its interior block factored once.
+    """scale * K + diag(shift) on one graph, its interior block factored once.
 
     ``solve`` eliminates the interior exactly (Schur complement onto the
     boundary vertices), solves the boundary inclusion and recovers the
-    interior, and reports how well the result satisfies both.
+    interior, and reports how well the result satisfies both.  The
+    operator keeps only the blocks: A_II, A_IB = A_BI^T and a dense A_BB,
+    the LU factors of A_II, W = A_II^-1 A_IB and the Schur complement.
+    The full matrix A is gone before SuperLU runs.
     The factorization uses one-column SuperLU panels: same pivots and
     fill as the default 20, a fifth less peak memory at depth.
     """
 
-    def __init__(self, a_mat: sp.spmatrix, graph: GasketGraph):
-        self.a_mat = a_mat.tocsr()
-        self.boundary = np.asarray(graph.boundary, dtype=np.intp)
-        mask = np.ones(graph.vertex_count, dtype=bool)
-        mask[self.boundary] = False
-        self.interior = np.nonzero(mask)[0]
-        a, i, b = self.a_mat, self.interior, self.boundary
+    def __init__(self, form: EnergyForm, scale: float = 1.0, shift=None):
+        a = stiffness_matrix(form)  # canonical CSR, exactly symmetric
+        a.data *= scale  # exact for the scales used, 1 and 2
+        n = a.shape[0]
+        row_of = np.repeat(np.arange(n), np.diff(a.indptr))
+        if shift is not None:  # each diagonal entry becomes fl(scale * deg + shift)
+            a.data[row_of == a.indices] += shift
+        self.boundary = np.asarray(form.graph.boundary, dtype=np.intp)
+        is_interior = np.ones(n, dtype=bool)
+        is_interior[self.boundary] = False
+        self.interior = np.nonzero(is_interior)[0]
+        b, i = self.boundary, self.interior
+        self.a_bi = a[b][:, i].tocsc()
+        self.a_ib = self.a_bi.T  # A is exactly symmetric: A_BI^T bit for bit
+        self.a_bb = a[b][:, b].toarray()
+        # A_II as one masked copy of A's CSR entries; its renumbered column
+        # indices stay sorted, and by symmetry its CSR arrays are its CSC ones
+        keep = is_interior[row_of] & is_interior[a.indices]
+        renumber = np.cumsum(is_interior, dtype=a.indices.dtype) - 1
+        indptr = np.zeros(len(i) + 1, dtype=a.indptr.dtype)
+        np.cumsum(np.bincount(row_of[keep], minlength=n)[i], out=indptr[1:])
+        self.a_ii = sp.csc_matrix(
+            (a.data[keep], renumber[a.indices[keep]], indptr), shape=(len(i), len(i))
+        )
+        del a, row_of, keep, renumber  # only the blocks reach SuperLU's peak
         # The gasket's supernodes are narrow, so wide panels buy nothing:
         # panel_size=1 keeps the column order, row pivots and L/U fill of
         # the default 20 and drops its panel workspace.  Measured on 2
-        # vCPUs: a Poisson solve at (3,10) peaks at 114 instead of 143 MiB,
-        # and splu at (3,11) takes 0.31 instead of 0.43 s.
-        self.lu = spla.splu(a[i][:, i].tocsc(), panel_size=1)
-        self.a_bi = a[b][:, i].tocsc()
-        # A is exactly symmetric, so A_IB is A_BI^T bit for bit.
-        self.w = self.lu.solve(self.a_bi.T.toarray())
-        s_mat = a[b][:, b].toarray() - self.a_bi @ self.w
+        # vCPUs while the operator still held A: a Poisson solve at (3,10)
+        # peaked at 114 instead of 143 MiB, and splu at (3,11) took 0.31
+        # instead of 0.43 s.
+        self.lu = spla.splu(self.a_ii, panel_size=1)
+        self.w = self.lu.solve(self.a_ib.toarray())
+        s_mat = self.a_bb - self.a_bi @ self.w
         self.s_mat = 0.5 * (s_mat + s_mat.T)
 
     def solve(self, rhs, functionals, tol, max_inner_iters, v0, gauge_free=False):
@@ -276,20 +296,24 @@ class _Operator:
         v_b, iters, distances = _solve_boundary_inclusion(
             self.s_mat, c, functionals, tol, max_inner_iters, v0, gauge_free
         )
+        v_i = z.T - (self.w @ v_b[:, :, None])[:, :, 0]
+        del z
+        # A_II v_I + A_IB v_B - r_I, accumulated in place: at depth these
+        # vectors, not the blocks, set the solve's peak memory
+        interior = self.a_ii @ v_i.T
+        interior += self.a_ib @ v_b.T
+        interior -= rhs[:, self.interior].T
         values = np.empty(rhs.shape)
-        values[:, self.interior] = z.T - (self.w @ v_b[:, :, None])[:, :, 0]
+        values[:, self.interior] = v_i
         values[:, self.boundary] = v_b
-        interior = (self.a_mat @ values.T - rhs.T)[self.interior].T
-        return values, iters, distances, _norms(interior)
+        return values, iters, distances, _norms(interior.T)
 
 
 @functools.lru_cache(maxsize=1)
 def _resolvent(form: EnergyForm, measure: VertexMeasure, tau: float) -> _Operator:
     """The backward Euler operator 2K + M/tau, shared by every spec and
     trajectory on one (graph, measure, tau)."""
-    return _Operator(
-        2.0 * stiffness_matrix(form) + sp.diags(measure.masses / tau), form.graph
-    )
+    return _Operator(form, 2.0, measure.masses / tau)
 
 
 def advance(form, measure, spec, u0: np.ndarray, config: FlowConfig):
@@ -424,7 +448,7 @@ def poisson_solve(
             f"grow at slope {growth} toward {'+' if total > 0 else '-'}inf, so the "
             "objective is unbounded below along the constants"
         )
-    op = _Operator(stiffness_matrix(form), graph)
+    op = _Operator(form)
     rhs = (measure.masses * f.values)[None]
     values, iters, distances, interior = op.solve(
         rhs, spec.functionals, tol, max_inner_iters, np.zeros((1, graph.n)),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -476,9 +477,11 @@ def test_evolve_failure_writes_partial_trajectory(tmp_path, capsys):
     assert "failure" not in json.loads(read(ok / "manifest.json"))
 
 
-def test_evolve_with_1e300_steps_reports_its_first_step(tmp_path, capsys):
-    # a valid config: only the states a run holds get a time, so the first
-    # step runs and its failure is reported like any other
+def test_evolve_with_1e300_steps_reports_its_first_step(tmp_path, capsys, monkeypatch):
+    # a config only the trajectory field budget refuses; without the budget
+    # only the states a run holds get a time, so the first step runs and its
+    # failure is reported like any other
+    monkeypatch.setattr(cli, "MAX_TRAJECTORY_FIELDS", math.inf)
     doc = json.loads(read(DATA / "mixed_robin_config.json"))
     doc["spec"][0] = {"kind": "absolute_value", "beta": 1.0}
     doc.update(tau=1e-300, t_end=1.0, max_inner_iters=1)
@@ -1011,6 +1014,35 @@ def test_evolve_step_count_that_overflows_is_usage_error(tmp_path, capsys, key, 
     assert err.startswith("error: ") and "not a finite step count" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_evolve_trajectory_over_the_field_budget_is_refused_before_the_build(
+    tmp_path, capsys
+):
+    # 2**63 / 0.1 steps pass every config check; trajectory.csv would grow
+    # by V + 1 = 16 fields a step until the process is killed
+    doc = dict(json.loads(read(DATA / "mixed_robin_config.json")), t_end=2**63)
+    out = tmp_path / "x"
+    started = time.perf_counter()
+    assert run_cli(["evolve", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trajectory.csv would hold" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_trajectory_field_budget_admits_the_golden_and_the_benchmark(tmp_path, monkeypatch):
+    # (steps + 1)(V + 1): the golden's 6 rows of 16 fields, and the evolve
+    # benchmark's 31 rows of 29,527 at (3, 9)
+    assert cli._trajectory_fields(3, 2, 5) == 6 * 16
+    assert cli._trajectory_fields(3, 9, 30) == 31 * 29_527 <= cli.MAX_TRAJECTORY_FIELDS
+    config = str(DATA / "mixed_robin_config.json")
+    monkeypatch.setattr(cli, "MAX_TRAJECTORY_FIELDS", 6 * 16)
+    assert run_cli(["evolve", "--config", config, "--out", tmp_path / "at"]) == 0
+    monkeypatch.setattr(cli, "MAX_TRAJECTORY_FIELDS", 6 * 16 - 1)
+    assert run_cli(["evolve", "--config", config, "--out", tmp_path / "over"]) == 2
+    assert not (tmp_path / "over").exists()
 
 
 def test_evolve_t_end_off_the_grid_below_one_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from gasketflow import (
 )
 
 from gasketflow import flow
+from gasketflow.energy import _extension_matrix, _refine
 from gasketflow.gasket import _restriction_indices
 from gasketflow.robin import dirichlet, neumann
 from oracles import (
@@ -558,9 +561,57 @@ def test_sandwiched_linear_semigroups_are_local(q, holds, broken):
 def test_boundary_schur_complement_is_the_level_0_stiffness(n, m):
     # the trace of the level-m energy on the boundary is the level-0 energy
     g = build_level(n, m)
-    s_mat = flow._Operator(stiffness_matrix(EnergyForm(g)), g).s_mat
+    s_mat = flow._Operator(EnergyForm(g)).s_mat
     level_0 = stiffness_matrix(EnergyForm(build_level(n, 0))).toarray()
     assert np.max(np.abs(s_mat - level_0)) <= 1e-10
+
+
+#: skewed weights per N, in the style of (0.5, 0.3, 0.2)
+SKEWED = {
+    2: (0.6, 0.4),
+    3: (0.5, 0.3, 0.2),
+    4: (0.4, 0.3, 0.2, 0.1),
+    5: (0.3, 0.25, 0.2, 0.15, 0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 0), (3, 0), (3, 1), (2, 6), (3, 5), (4, 3), (5, 2), (4, 7)]
+)
+def test_operator_blocks_are_the_slices_of_the_full_matrix_bit_for_bit(n, m):
+    """The operator scales K and shifts its diagonal in place, then keeps
+    only the blocks: each must be the slice of the matrix assembled whole,
+    arrays and dtypes, and W must be the one N-column solve the slices
+    give.  At (4, 7), tau 1e-3, solving W column by column moves 295 of
+    its entries, by up to 3.3e-17 relative."""
+    g = build_level(n, m)
+    form = EnergyForm(g)
+    interior = np.setdiff1d(np.arange(g.vertex_count), g.boundary)
+    boundary = np.asarray(g.boundary)
+    cases = [(stiffness_matrix(form), flow._Operator(form))]
+    for weights in (None, SKEWED[n]):
+        _, _, measure = _setup(n, m, weights)
+        for tau in (1e-3, 0.1):
+            shift = measure.masses / tau
+            whole = 2.0 * stiffness_matrix(form) + sp.diags(shift)
+            cases.append((whole, flow._Operator(form, 2.0, shift)))
+    for whole, op in cases:
+        whole = whole.tocsr()
+        a_ii, a_bi = whole[interior][:, interior].tocsc(), whole[boundary][:, interior].tocsc()
+        for got, want in ((op.a_ii, a_ii), (op.a_bi, a_bi)):
+            assert got.format == "csc" and got.shape == want.shape
+            for name in ("indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype, name
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(bits(got.data), bits(want.data))
+        a_bb = whole[boundary][:, boundary].toarray()
+        assert op.a_bb.dtype == a_bb.dtype
+        np.testing.assert_array_equal(bits(op.a_bb), bits(a_bb))
+        np.testing.assert_array_equal(op.a_ib.toarray(), a_bi.T.toarray())
+        w = spla.splu(a_ii, panel_size=1).solve(a_bi.T.toarray())
+        assert op.w.shape == w.shape
+        np.testing.assert_array_equal(bits(op.w), bits(w))
 
 
 @pytest.mark.parametrize(
@@ -700,6 +751,49 @@ def test_level_convergence_ratio(n, top):
         assert np.allclose(ratios, n + 2, rtol=0.02), (spec, ratios)
 
 
+@pytest.mark.parametrize("n, m0, top", [(3, 2, 9), (4, 1, 7)])
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+def test_whole_flows_converge_in_the_level(n, m0, top, skewed):
+    """Every level sees the same piecewise-harmonic spline of a level-m0
+    function; 5 steps of tau 0.01, restricted to V_m0, settle as m grows.
+    With uniform weights the successive-level gaps shrink by 1 / (N + 2),
+    nonlinear and linear flows alike; with skewed ones the ratio is not
+    settled by these levels (0.18-0.88 for N = 3), so the gaps only fall."""
+    extra = (dirichlet(),) * (n - 3)
+    specs = [
+        RobinSpec((Power(1.0, 1.0), neumann(), Power(2.0, 1.5)) + extra),
+        RobinSpec.uniform(Power(1.0, 2.0), n),
+    ]
+    coarse = build_level(n, m0)
+    corners = _random(coarse, 0).values[coarse.cell_corners]
+    rule = _extension_matrix(n)
+    finals = [[] for _ in specs]
+    for m in range(m0, top + 1):
+        g, form, measure = _setup(n, m, SKEWED[n] if skewed else None)
+        u0 = np.empty(g.vertex_count)
+        u0[g.cell_corners] = corners
+        for spec, found in zip(specs, finals):
+            config = FlowConfig(0.01, 0.05, tol=1e-12)
+            last = evolve(form, measure, spec, VertexFunction(g, u0), config).states[-1]
+            found.append(restrict(last, m0).values)
+        corners = _refine(corners, rule)
+    for spec, found in zip(specs, finals):
+        gaps = np.array([np.max(np.abs(b - a)) for a, b in zip(found, found[1:])])
+        assert np.all(np.diff(gaps) < 0), (spec, gaps)
+        if not skewed:
+            ratios = gaps[1:] / gaps[:-1]
+            assert np.all(np.abs(ratios[-3:] - 1.0 / (n + 2)) <= 0.01), (spec, ratios)
+
+
+def _dense_lowest_dirichlet_eigenvalue(n, m):
+    """The lowest eigenvalue of 2K on the interior against M, uniform weights."""
+    g, form, measure = _setup(n=n, m=m)
+    interior = np.setdiff1d(np.arange(g.vertex_count), g.boundary)
+    a_mat = 2.0 * stiffness_matrix(form).toarray()[np.ix_(interior, interior)]
+    m_mat = np.diag(measure.masses[interior])
+    return scipy.linalg.eigh(a_mat, m_mat, subset_by_index=[0, 0])[0][0]
+
+
 @pytest.mark.parametrize(
     "n, lowest",
     [
@@ -711,17 +805,37 @@ def test_lowest_dirichlet_eigenvalue_has_a_level_limit(n, lowest):
     """The lowest eigenvalue of 2K on the interior against M (uniform
     weights) converges in m: successive gaps shrink by a factor that tends
     to 1 / (N + 2).  Levels 1 to len(lowest), at most 514 vertices."""
-    found = []
-    for m in range(1, len(lowest) + 1):
-        g, form, measure = _setup(n=n, m=m)
-        interior = np.setdiff1d(np.arange(g.vertex_count), g.boundary)
-        a_mat = 2.0 * stiffness_matrix(form).toarray()[np.ix_(interior, interior)]
-        m_mat = np.diag(measure.masses[interior])
-        found.append(scipy.linalg.eigh(a_mat, m_mat, subset_by_index=[0, 0])[0][0])
+    found = [_dense_lowest_dirichlet_eigenvalue(n, m) for m in range(1, len(lowest) + 1)]
     np.testing.assert_allclose(found, lowest, rtol=1e-7)
     gaps = np.diff(found)
     ratios = gaps[1:] / gaps[:-1]
     assert np.all(np.abs(ratios[-2:] - 1.0 / (n + 2)) <= 0.01), ratios
+
+
+@pytest.mark.parametrize("n, limit", [(3, 33.631998), (4, 51.626679)])
+def test_lowest_dirichlet_eigenvalue_level_limit_by_decimation(n, limit):
+    """The level limit to m = 20, with no graph: lift the level-1 value of
+    the normalized Laplacian by the smaller root of the decimation map
+    z_{m-1} = z_m (a - b z_m), a = N + 2, b = 2 (N - 1), as
+    ``dirichlet_eigenfunction`` does; lambda_m = 2 (N - 1) N (N + 2)^m z_m.
+    The gap lambda_m - lambda_{m-1} is 2 (N - 1) N (N + 2)^(m-1) b z_m^2
+    by the map itself, free of the cancellation that swamps the plain
+    difference past m = 15 (17 % off at (4, 20))."""
+    a, b, c = n + 2.0, 2.0 * (n - 1), 2.0 * (n - 1) * n
+    z = dirichlet_eigenfunction(n, 1)[0]
+    lams, gaps = [c * (n + 2) * z], []
+    for m in range(2, 21):
+        z = 2.0 * z / (a + math.sqrt(a * a - 4.0 * b * z))
+        lams.append(c * (n + 2) ** m * z)
+        gaps.append(c * (n + 2) ** (m - 1) * b * z * z)
+    dense = [_dense_lowest_dirichlet_eigenvalue(n, m) for m in range(1, 6)]
+    np.testing.assert_allclose(lams[:5], dense, rtol=1e-10)
+    np.testing.assert_allclose(gaps[:8], np.diff(lams[:9]), rtol=1e-8)
+    assert lams[-1] == pytest.approx(limit, abs=5e-7)
+    # the gap ratios fall to 1 / (N + 2) from above, every level closer
+    excess = np.array(gaps[1:]) / np.array(gaps[:-1]) - 1.0 / (n + 2)
+    assert np.all(excess >= 0) and np.all(np.diff(excess) < 0), excess
+    assert excess[0] <= 0.01 and excess[-1] <= 1e-12, excess
 
 
 @pytest.mark.parametrize("n, m, bound", [(3, 10, 1e-9), (4, 6, 1e-12), (5, 4, 1e-12)])
