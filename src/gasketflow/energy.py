@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError
-from .gasket import GasketGraph, VertexFunction, _check_graph, build_level, restrict
+from .gasket import GasketGraph, VertexFunction, _check_graph, build_level
+from .gasket import _ancestor_corners, _cell_edges
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,10 @@ def energy_profile(u: VertexFunction) -> list[float]:
     """Energies of the restrictions of u at levels 0..M (nondecreasing)."""
     g = u.graph
     out = []
-    for m in range(g.level + 1):
-        form = EnergyForm(build_level(g.n, m))
-        out.append(energy(form, restrict(u, m)))
+    for k in range(g.level, -1, -1):  # level g.level - k, k steps up the cell tree
+        # restriction keeps vertex order: in u's indices these are that level's edges, in order
+        ei, ej = _cell_edges(_ancestor_corners(g.cell_corners, k)) if k else g.edge_arrays
+        d = u.values[ei] - u.values[ej]
+        # the level's EnergyForm.renormalization times batch_energy's pairwise sum
+        out.append(((g.n + 2) / g.n) ** (g.level - k) * float(np.sum(d * d)))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainMismatchError, ResourceLimitError
 
 #: byte budget for the (cells, n, n) int64 corner array that build_level
-#: sorts; a build peaks at about five times this.  256 MiB admits levels
+#: sorts; a build peaks at three to four times this.  256 MiB admits levels
 #: 0-13 for n = 3 and 0-10 for n = 4.
 MAX_CORNER_BYTES = 256 * 2**20
 
@@ -122,19 +122,34 @@ def build_level(n: int, m: int) -> GasketGraph:
     cells = np.empty(len(corners), dtype=np.intp)
     cells[order] = np.cumsum(first_of_run) - 1
     cells = cells.reshape(-1, n)
+    del base, corners, first_of_run, order  # so the edge arrays do not stack on them
 
-    # two cells share at most one vertex, so every edge lies in exactly one cell
-    first, second = np.triu_indices(n, 1)
-    a, b = cells[:, first].ravel(), cells[:, second].ravel()
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.lexsort((hi, lo))
-    edge_i, edge_j = lo[order], hi[order]
-
-    # p_i is corner i of the cell whose word is i repeated m times
-    boundary = tuple(int(cells[i * (n**m - 1) // (n - 1), i]) for i in range(n))
+    edge_i, edge_j = _cell_edges(cells)
+    # p_i is corner i of the one level-0 cell
+    boundary = tuple(_ancestor_corners(cells, m)[0].tolist())
     for arr in (weights, cells, edge_i, edge_j):
         arr.setflags(write=False)
     return GasketGraph(n, m, weights, cells, boundary, edge_i, edge_j)
+
+
+def _cell_edges(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (i, j), i < j, sorted by (i, j), of the cells with these corners."""
+    # two cells share at most one vertex, so every edge lies in exactly one cell
+    first, second = np.triu_indices(cells.shape[1], 1)
+    a, b = cells[:, first].ravel(), cells[:, second].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # the edges are distinct, so one combined key sorts them as lexsort((hi, lo))
+    order = np.argsort(lo * (int(hi.max()) + 1) + hi)
+    return lo[order], hi[order]
+
+
+def _ancestor_corners(cells: np.ndarray, k: int) -> np.ndarray:
+    """Corners k levels up: corner i of cell c is that of cell c*n**k + i*(n**k-1)/(n-1)."""
+    n = cells.shape[1]
+    i = np.arange(n)
+    # one flat gather: with s = (n**k-1)/(n-1), entry (c*n**k + i*s, i) is c*n**(k+1) + i*(s*n+1)
+    first = np.arange(0, cells.size, n ** (k + 1))[:, None]
+    return cells.ravel()[first + i * ((n**k - 1) // (n - 1) * n + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,31 +190,15 @@ def _check_arity(graph: GasketGraph, owner) -> None:
         raise DomainMismatchError(f"{name} has {owner.n} entries, graph has n={graph.n}")
 
 
-def _restriction_indices(n: int, m: int, big_level: int) -> np.ndarray:
-    """Fine indices of the level-m vertices in the level-``big_level`` graph.
-
-    Corner i of cell c is corner i of the descendant c * n**k + i * (n**k - 1)
-    / (n - 1) whose word appends k = big_level - m copies of i.
-    """
-    coarse = build_level(n, m)
-    fine = build_level(n, big_level)
-    # any (cell, corner) incidence of a vertex names the same fine vertex
-    incidence = np.empty(coarse.vertex_count, dtype=np.intp)
-    incidence[coarse.cell_corners.ravel()] = np.arange(coarse.cell_corners.size)
-    cell, corner = np.divmod(incidence, n)
-    k = big_level - m
-    return fine.cell_corners[cell * n**k + corner * ((n**k - 1) // (n - 1)), corner]
-
-
 def restrict(u: VertexFunction, m: int) -> VertexFunction:
     """Restriction of u to the coarser vertex set (the nested subset of V_M)."""
     big = u.graph
     if m > big.level:
-        raise DomainMismatchError(
-            f"cannot restrict a level-{big.level} function to level {m}"
-        )
-    idx = _restriction_indices(big.n, m, big.level)
-    return VertexFunction(build_level(big.n, m), u.values[idx])
+        raise DomainMismatchError(f"cannot restrict a level-{big.level} function to level {m}")
+    coarse = build_level(big.n, m)
+    values = np.empty(coarse.vertex_count)
+    values[coarse.cell_corners] = u.values[_ancestor_corners(big.cell_corners, big.level - m)]
+    return VertexFunction(coarse, values)
 
 
 def simplex_vertices(n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -22,7 +23,9 @@ from gasketflow import (
     stiffness_matrix,
     vertex_measure,
 )
+import gasketflow.gasket as gasket_mod
 from gasketflow.energy import _extension_matrix
+from gasketflow.gasket import _ancestor_corners, _cell_edges
 
 from oracles import energy_reference, min_energy_extension, vertex_labels
 
@@ -273,6 +276,64 @@ def test_profile_strictly_increasing_for_generic_data():
     u = _random_fn(3, 3, 123)
     diffs = np.diff(energy_profile(u))
     assert np.all(diffs > 1e-6)
+
+
+PROFILE_RUNGS = (
+    [(2, 0), (2, 10)]
+    + [(3, m) for m in range(10)]
+    + [(4, m) for m in range(7)]
+    + [(5, 4), (6, 3), (8, 1), (12, 1)]
+)
+
+
+def _profile_data(g, rng):
+    """Uniform random, harmonic, huge random and constant data on g."""
+    return [
+        rng.uniform(-1.0, 1.0, g.vertex_count),
+        harmonic_function(g, rng.normal(size=g.n)).values,
+        rng.uniform(-1.0, 1.0, g.vertex_count) * 1e150,
+        np.full(g.vertex_count, 0.3),
+    ]
+
+
+@pytest.mark.parametrize("n, top", PROFILE_RUNGS)
+def test_profile_is_bitwise_the_restricted_energies(n, top):
+    # energy_profile walks up the cell tree; the reference builds each level
+    g = build_level(n, top)
+    rng = np.random.default_rng(100 * n + top)
+    for values in _profile_data(g, rng):
+        u = VertexFunction(g, values)
+        expected = [energy(_form(n, m), restrict(u, m)) for m in range(top + 1)]
+        assert energy_profile(u) == expected
+
+
+@pytest.mark.parametrize("n, top", PROFILE_RUNGS)
+def test_walked_cell_edges_are_each_levels_edges_in_order(n, top):
+    # the restriction keeps vertex order, so the level-m cell edges in the
+    # top level's indices map onto level m's edge arrays, order and all
+    g = build_level(n, top)
+    for m in range(top):
+        coarse = build_level(n, m)
+        fine_index = restrict(VertexFunction(g, np.arange(g.vertex_count)), m).values
+        coarse_index = np.full(g.vertex_count, -1)
+        coarse_index[fine_index.astype(np.intp)] = np.arange(coarse.vertex_count)
+        ei, ej = _cell_edges(_ancestor_corners(g.cell_corners, top - m))
+        assert np.array_equal(coarse_index[ei], coarse.edge_arrays[0])
+        assert np.array_equal(coarse_index[ej], coarse.edge_arrays[1])
+
+
+def test_profile_builds_no_graph(monkeypatch):
+    # gasketflow.energy the attribute is the energy function, not the module
+    energy_mod = importlib.import_module("gasketflow.energy")
+    u = _random_fn(3, 4, 5)
+
+    def refuse(n, m):
+        raise AssertionError(f"energy_profile built level {m}")
+
+    monkeypatch.setattr(gasket_mod, "build_level", refuse)
+    monkeypatch.setattr(energy_mod, "build_level", refuse)
+    profile = energy_profile(u)
+    assert len(profile) == 5 and profile[-1] == energy(_form(3, 4), u)
 
 
 def test_monotonicity_against_full_energy():

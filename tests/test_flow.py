@@ -40,7 +40,6 @@ from gasketflow import (
 
 from gasketflow import flow
 from gasketflow.energy import _extension_matrix, _refine
-from gasketflow.gasket import _restriction_indices
 from gasketflow.robin import dirichlet, neumann
 from oracles import (
     bits,
@@ -721,9 +720,9 @@ def _exact_load_gaps(n, weights, levels, name):
     for m in levels:
         g, form, measure = _setup(n=n, m=m, weights=weights)
         f = VertexFunction(g, exact_load(g, measure_weights) / measure.masses)
-        solutions.append(poisson_solve(form, measure, spec, f, tol=1e-13)[0].values)
+        solutions.append(poisson_solve(form, measure, spec, f, tol=1e-13)[0])
     return [
-        np.max(np.abs(u - solutions[-1][_restriction_indices(n, m, levels[-1])]))
+        np.max(np.abs(u.values - restrict(solutions[-1], m).values))
         for m, u in zip(levels, solutions[:-1])
     ]
 

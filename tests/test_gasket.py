@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gasketflow.gasket as gasket_mod
-from gasketflow.gasket import _restriction_indices
 from gasketflow import (
     DomainMismatchError,
     EnergyForm,
@@ -107,8 +106,11 @@ def test_cell_tree_index_maps_match_weights(n):
                 wi, wj = coarse_labels[cell[i]], coarse_labels[cell[j]]
                 assert fine_labels[mid] == tuple(a + b for a, b in zip(wi, wj))
         for big in range(m, m + 3):
-            idx = _restriction_indices(n, m, big)
-            big_labels = vertex_labels(build_level(n, big))
+            # restricting the vertex-index function gives each vertex's fine index
+            g_big = build_level(n, big)
+            indices = VertexFunction(g_big, np.arange(g_big.vertex_count))
+            idx = restrict(indices, m).values.astype(np.intp)
+            big_labels = vertex_labels(g_big)
             for weights, k in zip(coarse_labels, idx.tolist()):
                 scaled = tuple(w * 2 ** (big - m) for w in weights)
                 assert big_labels[k] == scaled
@@ -229,8 +231,16 @@ def test_restrict_matches_rescaling_oracle():
 def test_restrict_rejects_finer_target():
     g1 = build_level(3, 1)
     u = VertexFunction(g1, np.zeros(g1.vertex_count))
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError, match="^cannot restrict a level-1 function to level 2$"):
         restrict(u, 2)
+
+
+def test_restrict_rejects_negative_level():
+    # the level check comes before the walk up the cell tree
+    g2 = build_level(3, 2)
+    u = VertexFunction(g2, np.zeros(g2.vertex_count))
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        restrict(u, -1)
 
 
 def test_build_level_argument_errors():
