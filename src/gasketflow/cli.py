@@ -101,12 +101,9 @@ def _reprs(values: np.ndarray) -> str:
     text = orjson.dumps(values[~odd], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     if not odd.any():
         return text
-    spelled = list(map(repr, values[odd].tolist()))
-    if not text:  # every value went through repr: nothing to merge
-        return ",".join(spelled)
     fields = np.empty(values.size, dtype=object)
     fields[~odd] = text.split(",")
-    fields[odd] = spelled
+    fields[odd] = list(map(repr, values[odd].tolist()))
     return ",".join(fields.tolist())
 
 
@@ -147,12 +144,19 @@ def _csv_writer(path: Path, header: list[str]):
         yield write
 
 
+#: rows ``_write_csv`` formats at a time, so that a deep level's columns
+#: are never all held as text at once
+_CSV_BLOCK = 2**16
+
+
 def _write_csv(path: Path, header: list[str], *columns) -> None:
     """Write one row per index i: i, then entry i of each float64 column,
     spelled as by ``_csv_writer``."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
     with _open_csv(path, header) as fh, _timed_rows():
-        fields = [_reprs(np.asarray(c, dtype=np.float64)).split(",") for c in columns]
-        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*fields)))
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            fields = [_reprs(c[start : start + _CSV_BLOCK]).split(",") for c in columns]
+            fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*fields), start))
 
 
 def _load_config(path: str) -> dict:

@@ -138,26 +138,13 @@ def _norms(rows: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(rows, rows))
 
 
-def _groups(functionals) -> list:
-    """The distinct functionals of a spec, each with the boundary
-    coordinates it sits on, so that a residual evaluates each kind once."""
-    groups: dict = {}
-    for i, b in enumerate(functionals):
-        groups.setdefault(b, []).append(i)
-    # a run of coordinates is a slice: views, not copies
-    return [
-        (b, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx))
-        for b, idx in groups.items()
-    ]
-
-
-def _boundary_residual(s_mat: np.ndarray, c: np.ndarray, groups, v: np.ndarray) -> np.ndarray:
+def _boundary_residual(s_mat: np.ndarray, c: np.ndarray, functionals, v: np.ndarray) -> np.ndarray:
     """Per-coordinate distance from the negative smooth gradient to each
     subdifferential, one row per member; zero exactly at the solution."""
     descent = c - (s_mat @ v[:, :, None])[:, :, 0]  # the negative smooth gradient
     distance = np.empty_like(v)
-    for b, idx in groups:
-        distance[:, idx] = b.subdiff_distance(v[:, idx], descent[:, idx])
+    for i, b in enumerate(functionals):
+        distance[:, i] = b.subdiff_distance(v[:, i], descent[:, i])
     return distance
 
 
@@ -186,7 +173,6 @@ def _solve_boundary_inclusion(
     rank-one augmentation.
     """
     k, n = c.shape
-    groups = _groups(functionals)
     curvatures = [b.curvature for b in functionals]
     if None not in curvatures:
         free = [i for i, d in enumerate(curvatures) if d < math.inf]  # the rest stay 0
@@ -197,7 +183,7 @@ def _solve_boundary_inclusion(
         v = np.zeros((k, n))
         mats = np.broadcast_to(mat, (k, *mat.shape))
         v[:, free] = np.linalg.solve(mats, c[:, free, None])[:, :, 0]
-        return v, np.ones(k, dtype=int), _boundary_residual(s_mat, c, groups, v)
+        return v, np.ones(k, dtype=int), _boundary_residual(s_mat, c, functionals, v)
 
     coordinates = [(i, b, s_mat[i, i], 1.0 / s_mat[i, i], s_mat[i]) for i, b in enumerate(functionals)]
     v = _rows(v0)
@@ -211,7 +197,7 @@ def _solve_boundary_inclusion(
         for i, b, sii, lam, row in coordinates:
             z = (c_act[:, i] - np.vecdot(v_act, row) + sii * v_act[:, i]) / sii
             v_act[:, i] = b.prox(lam, z)
-        distance = _boundary_residual(s_mat, c_act, groups, v_act)
+        distance = _boundary_residual(s_mat, c_act, functionals, v_act)
         resid = _norms(distance)
         if not resid.max() < math.inf:  # one reduction: nan and inf both fail it
             j = np.flatnonzero(~np.isfinite(resid))[0]
@@ -478,5 +464,7 @@ def normal_derivative(u: VertexFunction, i: int) -> float:
     if not 0 <= i < g.n:
         raise DomainMismatchError(f"boundary index must be in [0, {g.n}), got {i}")
     p = g.boundary[i]
-    nbrs = list(g.neighbors(p))
+    ei, ej = g.edge_arrays
+    # edges are sorted by (i, j): the lower neighbours come first
+    nbrs = np.concatenate([ei[ej == p], ej[ei == p]])
     return EnergyForm(g).renormalization * float(np.sum(u.values[p] - u.values[nbrs]))

@@ -70,11 +70,6 @@ class GasketGraph:
         """Endpoint index arrays (i, j), i < j, of all edges sorted by (i, j)."""
         return self._edge_i, self._edge_j
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        ei, ej = self.edge_arrays
-        # edges are sorted by (i, j): the lower neighbours come first
-        return tuple(np.concatenate([ei[ej == i], ej[ei == i]]).tolist())
-
     def to_json_dict(self) -> dict:
         return {
             "N": self.n,

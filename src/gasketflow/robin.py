@@ -24,7 +24,6 @@ alone and inside an ensemble agree bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -266,18 +265,14 @@ class PiecewiseLinearQuadratic(BoundaryFunctional):
             total = total + w * np.maximum(a - d, 0.0)
         return total[()]
 
-    @functools.cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lower ends, upper ends and slope sums of the intervals of |s|
-        between kinks, as column vectors."""
+    def _prox(self, lam, s):
+        x = np.abs(s)
+        # lower ends, upper ends and slope sums of the intervals of |s|
+        # between kinks, as column vectors
         positions = sorted({d for d, _ in self.breakpoints})
         lower = ([0.0] if (not positions or positions[0] > 0.0) else []) + positions
         slopes = [sum(w for d, w in self.breakpoints if d <= lo) for lo in lower]
-        return tuple(np.array(a)[:, None] for a in (lower, lower[1:] + [INF], slopes))
-
-    def _prox(self, lam, s):
-        x = np.abs(s)
-        lower, upper, slopes = self._pieces
+        lower, upper, slopes = (np.array(a)[:, None] for a in (lower, lower[1:] + [INF], slopes))
         # the first piece [lower, upper] of |s| whose stationary point is
         # <= upper holds the minimizer, at lower if the stationary point lies
         # below it: there the objective's derivative jumps past zero

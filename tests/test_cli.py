@@ -141,6 +141,8 @@ def joined_reprs(x: np.ndarray) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)))
+@example(np.array([1e-5, -2e-7, np.nan, np.inf, 1e20]))  # every value spelled by repr
+@example(np.array([1e-300]))
 def test_reprs_match_repr_on_any_floats(x):
     # st.floats draws subnormals, -0.0, nan and both infinities
     assert cli._reprs(x) == joined_reprs(x)
@@ -588,6 +590,20 @@ def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
             tracemalloc.stop()
     vertices = len(read(tmp_path / "40" / "trajectory.csv").split("\n", 1)[0].split(",")) - 1
     assert peaks[40] - peaks[2] < 38 * vertices * 8 / 4
+
+
+def test_write_csv_memory_is_flat_in_the_row_count(tmp_path):
+    # rows are formatted a block at a time, so sixteen times the rows hold
+    # less extra memory than the column itself
+    rng = np.random.default_rng(0)
+    peaks = {}
+    for rows in (2**16, 2**20):
+        column = rng.standard_normal(rows)
+        tracemalloc.start()
+        cli._write_csv(tmp_path / f"{rows}.csv", ["vertex", "value"], column)
+        peaks[rows] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[2**20] - peaks[2**16] < 2**20 * 8
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -403,6 +404,16 @@ def test_array_forms_keep_empty_shapes(b):
         empty = np.zeros(shape)
         assert b.prox(0.5, empty).shape == shape
         assert b.subdiff_distance(empty, empty).shape == shape
+
+
+@pytest.mark.parametrize("b", ALL_KINDS, ids=kind_id)
+def test_a_kind_keeps_no_cached_state(b):
+    # a kind is its frozen dataclass fields and nothing more, also after use
+    s = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    b(s)
+    b.prox(0.5, s)
+    b.subdiff_distance(s, s)
+    assert set(vars(b)) == {f.name for f in dataclasses.fields(b)}
 
 
 def test_power_three_root_does_not_overflow():
