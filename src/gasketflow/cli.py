@@ -11,8 +11,9 @@ as its ``seed`` (the manifest's ``timings``, wall clock, peak memory and
 the time spent writing CSV rows, are the only non-reproducible bytes).
 Every CSV float is spelled exactly as Python's ``repr`` spells it.
 Invalid input exits 2 with an ``error:`` message and writes nothing; that
-includes a config that is not UTF-8, a boolean where a spec parameter
-wants a number, and an ``--out`` that cannot be a directory.  Only the
+includes a config that is not UTF-8 or past the JSON parser's limits, a
+boolean or an integer past the float range where a number is wanted,
+and an ``--out`` that cannot be a directory.  Only the
 contents of ``u0`` / ``f``, the level-m vertex masses (which can underflow
 to 0), a harmonic extension and the energy profile ``extend`` writes (both
 can overflow) are checked after the graph is built.  Evolve writes each
@@ -171,6 +172,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from exc
+    # an integer of more digits than int() reads, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: JSON past the parser's limits ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return cfg
@@ -215,7 +219,9 @@ def _boolean(value, what: str) -> bool:
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    # an exact comparison: it refuses nan, the infinities and the JSON
+    # integers past the float range, which float() cannot convert
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return float(value)
 
@@ -286,13 +292,14 @@ def _load_problem(args, keys: set[str]):
         raise ConfigError(f"{where}: {exc}") from exc
     n = _integer(_require(cfg, "N", where), f"{where}: N", 2)
     m = _integer(_require(cfg, "m", where), f"{where}: m", 0)
-    weights = _weights(cfg.get("weights"), n, f"{where}: weights")
     try:
         spec = RobinSpec.from_json(_require(cfg, "spec", where))
     except ValueError as exc:
         raise ConfigError(f"{where}: bad spec: {exc}") from exc
     if spec.n != n:
         raise ConfigError(f"{where}: spec must have {n} entries, got {spec.n}")
+    # only now: uniform weights are N floats, and the spec's length bounds N
+    weights = _weights(cfg.get("weights"), n, f"{where}: weights")
     return cfg, tol, n, m, weights, spec
 
 

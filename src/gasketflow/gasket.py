@@ -13,7 +13,6 @@ c*N + i and every map between levels is index arithmetic on this cell tree.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,6 @@ class GasketGraph:
         }
 
 
-@functools.lru_cache(maxsize=None)
 def build_level(n: int, m: int) -> GasketGraph:
     """Construct the canonical level-m graph of the n-point gasket.
 

@@ -211,6 +211,9 @@ class BoxIndicator(BoundaryFunctional):
             raise ValueError(
                 f"box must contain 0, got [{self.lower}, {self.upper}]"
             )
+        # an int end past the float range fails here, not in a solve
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
 
     def __call__(self, s):
         s = _floats(s)
@@ -342,9 +345,11 @@ _KINDS = {
 }
 
 
-def _holds_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
+def _holds_bool(value, depth: int = 2) -> bool:
+    # a number sits at most two lists down (in a breakpoint pair); a bool
+    # deeper than that is in a list, which no kind reads as a number
+    if depth and isinstance(value, (list, tuple)):
+        return any(_holds_bool(x, depth - 1) for x in value)
     return isinstance(value, bool)
 
 
@@ -368,7 +373,7 @@ def functional_from_json(obj) -> BoundaryFunctional:
             raise ValueError(f"{key}: a boolean is not a number, got {value!r}")
     try:
         return cls(**params)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ValueError(f"bad parameters for kind {obj['kind']!r}: {exc}") from exc
 
 

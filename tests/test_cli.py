@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import gasketflow
 from gasketflow import ConvergenceError, build_level, cli, flow, harmonic_function
+from gasketflow.verify import SUITE_NAMES
 
 from oracles import strict_json
 
@@ -573,7 +574,8 @@ def test_infinite_box_end_is_written_null_and_reruns(tmp_path):
 
 def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
     # each row is written as its step is made, so 38 more steps hold no
-    # more states; the untraced first run fills the graph cache
+    # more states; the untraced first run makes the imports and first-call
+    # allocations that neither traced run should count
     doc = {
         "N": 3, "m": 7, "spec": [{"kind": "absolute_value", "beta": 1.0}, "neumann", "dirichlet"],
         "tau": 0.01, "u0": {"kind": "random", "seed": 0},
@@ -606,6 +608,11 @@ def test_write_csv_memory_is_flat_in_the_row_count(tmp_path):
     assert peaks[2**20] - peaks[2**16] < 2**20 * 8
 
 
+#: the golden config's text, where a value is one json.dumps cannot write
+#: or the parser cannot read
+GOLDEN_TEXT = read(DATA / "mixed_robin_config.json")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -621,6 +628,40 @@ def test_write_csv_memory_is_flat_in_the_row_count(tmp_path):
         # the kinds that fix p take beta alone
         ("spec", [{"kind": "quadratic", "beta": 1.0, "p": 3}, "neumann", "dirichlet"]),
         ("spec", [{"kind": "absolute_value", "beta": 1.0, "p": 2}, "neumann", "dirichlet"]),
+        # integers past the float range where a number is wanted
+        pytest.param("tau", 10**400, id="tau-1e400"),
+        pytest.param("tol", -(10**400), id="tol--1e400"),
+        pytest.param("weights", [10**400, 0.3, 0.2], id="weights-1e400"),
+        pytest.param("u0", {"kind": "values", "data": [10**400] * 15}, id="data-1e400"),
+        pytest.param("u0", {"kind": "harmonic", "boundary": [0, 10**400, 0]}, id="boundary-1e400"),
+        *(
+            pytest.param("spec", [functional, "neumann", "dirichlet"], id=f"spec-{name}-1e400")
+            for name, functional in {
+                "beta": {"kind": "quadratic", "beta": 10**400},
+                "p": {"kind": "power", "beta": 1.0, "p": 10**400},
+                "lower": {"kind": "box", "lower": -(10**400), "upper": 1.0},
+                "upper": {"kind": "box", "lower": -1.0, "upper": 10**400},
+                "breakpoints": {"kind": "plq", "kappa": 1.0, "breakpoints": [[0.5, 10**400]]},
+            }.items()
+        ),
+        # past the parser's limits: more digits than int() reads, nesting
+        # deeper than the stack, and breakpoints the parser reads but that
+        # are nested deeper than a recursive walk of them could go
+        pytest.param(
+            None, GOLDEN_TEXT.replace('"tau": 0.1', '"tau": ' + "9" * 5000).encode(),
+            id="None-tau-of-5000-digits",
+        ),
+        pytest.param(
+            None, b'{"N": ' + b"[" * 10_000 + b"]" * 10_000 + b"}", id="None-N-nested-10000-deep"
+        ),
+        pytest.param(
+            None,
+            GOLDEN_TEXT.replace(
+                '{"kind": "quadratic", "beta": 1.0}',
+                '{"kind": "plq", "kappa": 1.0, "breakpoints": ' + "[" * 700 + "]" * 700 + "}",
+            ).encode(),
+            id="None-breakpoints-nested-700-deep",
+        ),
     ],
 )
 def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
@@ -635,6 +676,25 @@ def test_evolve_mistyped_config_is_usage_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("n", [2_000_000, 10**300, 10**400], ids=["2e6", "1e300", "1e400"])
+def test_a_spec_of_the_wrong_length_is_refused_before_uniform_weights(tmp_path, capsys, n):
+    # uniform weights are N floats; the 3-entry spec is refused first, so
+    # they are never built
+    doc = json.loads(GOLDEN_TEXT)
+    del doc["weights"]
+    doc["N"] = n
+    cfg = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"spec must have {n} entries, got 3\n")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -1132,6 +1192,7 @@ FUZZ_SCALARS = (
     | st.booleans()
     | st.integers(-2, 6)
     | st.just(2**63)
+    | st.sampled_from([10**400, -(10**400)])
     | st.floats()
     | st.sampled_from([1e308, 1e-320, 0.1, 0.05, 1e-12])
     | st.text(max_size=4)
@@ -1344,6 +1405,37 @@ def test_verify_flow_suite_passes(tmp_path):
     report = json.loads(read(out / "report.json"))
     assert report["violations"] == 0
     assert any(r["property"] == "positivity" for r in report["reports"])
+
+
+#: one run of each command; verify runs every suite
+BUILD_RUNS = {
+    "gasket": lambda tmp: ["gasket", "--n", 3, "--m", 3],
+    "extend": lambda tmp: ["extend", "--n", 3, "--m", 3, "--boundary=1,-0.5,0.25"],
+    "evolve": lambda tmp: ["evolve", "--config", DATA / "mixed_robin_config.json"],
+    "poisson": lambda tmp: ["poisson", "--config", write_config(tmp, POISSON_ABS)],
+} | {
+    f"verify-{suite}": lambda tmp, suite=suite: ["verify", "--suite", suite, "--samples", 2]
+    for suite in SUITE_NAMES
+}
+
+
+@pytest.mark.parametrize("run", BUILD_RUNS.values(), ids=list(BUILD_RUNS))
+def test_a_run_builds_each_graph_once(tmp_path, monkeypatch, run):
+    # nothing keeps a graph between calls, so a second build of one (N, m)
+    # in a run would be a second full build
+    original, builds = gasketflow.gasket.build_level, []
+
+    def counted(n, m):
+        builds.append((n, m))
+        return original(n, m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gasketflow" or name.startswith("gasketflow."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert run_cli([*run(tmp_path), "--out", tmp_path / "out"]) == 0
+    assert builds and len(builds) == len(set(builds)), builds
 
 
 @pytest.mark.parametrize(

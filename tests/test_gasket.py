@@ -1,5 +1,7 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,13 +324,17 @@ def test_a_spec_or_weights_of_another_length_is_refused(call):
 
 def test_resource_limit(monkeypatch):
     monkeypatch.setattr(gasket_mod, "MAX_CORNER_BYTES", 8 * 3**5)
-    build_level.cache_clear()
-    try:
-        gasket_mod.build_level(3, 3)  # its corner array is exactly the budget
-        with pytest.raises(ResourceLimitError):
-            gasket_mod.build_level(3, 4)
-    finally:
-        build_level.cache_clear()
+    gasket_mod.build_level(3, 3)  # its corner array is exactly the budget
+    with pytest.raises(ResourceLimitError):
+        gasket_mod.build_level(3, 4)
+
+
+def test_a_graph_nothing_holds_is_freed():
+    graph = build_level(3, 3)
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
 
 
 def test_resource_limit_counts_corner_bytes():
