@@ -33,6 +33,7 @@ import gc
 import itertools
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import asdict
@@ -64,12 +65,6 @@ from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 gc.freeze()
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
 def _finite_or_null(obj):
     """``obj`` with each inf and nan float replaced by None, which JSON
     spells ``null``."""
@@ -83,7 +78,8 @@ def _finite_or_null(obj):
 def _write_json(path: Path, obj) -> None:
     """Strict JSON: a non-finite float is written as ``null``."""
     text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", newline="\n")
 
 
 def _reprs(values: np.ndarray) -> str:
@@ -204,31 +200,31 @@ def _require(cfg: dict, key: str, where: str):
 def _integer(value, what: str, minimum: int | None = None) -> int:
     # bool is an int subclass, and a JSON float such as 3.7 must not truncate
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{what} must be >= {minimum}, got {reprlib.repr(value)}")
     return value
 
 
 def _boolean(value, what: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
+        raise ConfigError(f"{what} must be true or false, got {reprlib.repr(value)}")
     return value
 
 
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {reprlib.repr(value)}")
     # an exact comparison: it refuses nan, the infinities and the JSON
     # integers past the float range, which float() cannot convert
     if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {reprlib.repr(value)}")
     return float(value)
 
 
 def _numbers(value, what: str, count: int) -> np.ndarray:
     if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list of {count} numbers, got {value!r}")
+        raise ConfigError(f"{what} must be a list of {count} numbers, got {reprlib.repr(value)}")
     if len(value) != count:
         raise ConfigError(f"{what} must have {count} entries, got {len(value)}")
     return np.array([_number(x, f"{what} entry") for x in value])
@@ -297,7 +293,7 @@ def _load_problem(args, keys: set[str]):
     except ValueError as exc:
         raise ConfigError(f"{where}: bad spec: {exc}") from exc
     if spec.n != n:
-        raise ConfigError(f"{where}: spec must have {n} entries, got {spec.n}")
+        raise ConfigError(f"{where}: spec must have {reprlib.repr(n)} entries, got {spec.n}")
     # only now: uniform weights are N floats, and the spec's length bounds N
     weights = _weights(cfg.get("weights"), n, f"{where}: weights")
     return cfg, tol, n, m, weights, spec
@@ -324,7 +320,7 @@ def _parse_vertex_data(
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _VERTEX_DATA_KEYS:
-        raise ConfigError(f"{where}.kind must be values|harmonic|random, got {kind!r}")
+        raise ConfigError(f"{where}.kind must be values|harmonic|random, got {reprlib.repr(kind)}")
     _reject_unknown_keys(obj, _VERTEX_DATA_KEYS[kind] | set(flags), where)
     for key in flags:
         _boolean(obj.get(key, False), f"{where}.{key}")

@@ -68,19 +68,15 @@ def inner(form: EnergyForm, u: VertexFunction, v: VertexFunction) -> float:
 
 
 def stiffness_matrix(form: EnergyForm) -> sp.csr_matrix:
-    """Sparse K with energy(u) = u^T K u (renormalized graph Laplacian)."""
-    g = form.graph
-    ei, ej = g.edge_arrays
-    r = form.renormalization
-    n = g.vertex_count
-    data = np.concatenate([-r * np.ones(len(ei))] * 2)
-    rows = np.concatenate([ei, ej])
-    cols = np.concatenate([ej, ei])
-    off = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    deg = np.zeros(n)
-    np.add.at(deg, ei, r)
-    np.add.at(deg, ej, r)
-    return (sp.diags(deg) + off).tocsr()
+    """Sparse K with energy(u) = u^T K u (renormalized graph Laplacian),
+    as canonical CSR: the weighted degrees minus the symmetrized edges."""
+    ei, ej = form.graph.edge_arrays
+    n = form.graph.vertex_count
+    upper = sp.csr_matrix((np.full(len(ei), form.renormalization), (ei, ej)), shape=(n, n))
+    adjacency = upper + upper.T
+    # a degree is a sum of equal r's: every summation order gives its bits
+    degrees = adjacency @ np.ones(n)
+    return sp.diags(degrees) - adjacency
 
 
 def _extension_matrix(n: int) -> np.ndarray:

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError, DomainMismatchError
@@ -228,39 +227,27 @@ class _Operator:
 
     ``solve`` eliminates the interior exactly (Schur complement onto the
     boundary vertices), solves the boundary inclusion and recovers the
-    interior, and reports how well the result satisfies both.  The
-    operator keeps only the blocks: A_II, A_IB = A_BI^T and a dense A_BB,
-    the LU factors of A_II, W = A_II^-1 A_IB and the Schur complement.
-    The full matrix A is gone before SuperLU runs.
+    interior, and reports how well the result satisfies both.  It keeps the
+    slices A_II, A_BI (A_IB is its transpose: A is exactly symmetric) and a
+    dense A_BB of A = scale * K + diag(shift), the LU factors of A_II,
+    W = A_II^-1 A_IB and the Schur complement; A is gone before SuperLU runs.
     The factorization uses one-column SuperLU panels: same pivots and
     fill as the default 20, a fifth less peak memory at depth.
     """
 
     def __init__(self, form: EnergyForm, scale: float = 1.0, shift=None):
-        a = stiffness_matrix(form)  # canonical CSR, exactly symmetric
+        a = stiffness_matrix(form)  # exactly symmetric
         a.data *= scale  # exact for the scales used, 1 and 2
-        n = a.shape[0]
-        row_of = np.repeat(np.arange(n), np.diff(a.indptr))
         if shift is not None:  # each diagonal entry becomes fl(scale * deg + shift)
-            a.data[row_of == a.indices] += shift
+            a.setdiag(a.diagonal() + shift)
         self.boundary = np.asarray(form.graph.boundary, dtype=np.intp)
-        is_interior = np.ones(n, dtype=bool)
-        is_interior[self.boundary] = False
-        self.interior = np.nonzero(is_interior)[0]
+        self.interior = np.setdiff1d(np.arange(a.shape[0]), self.boundary)
         b, i = self.boundary, self.interior
+        self.a_ii = a[i][:, i].tocsc()
         self.a_bi = a[b][:, i].tocsc()
         self.a_ib = self.a_bi.T  # A is exactly symmetric: A_BI^T bit for bit
         self.a_bb = a[b][:, b].toarray()
-        # A_II as one masked copy of A's CSR entries; its renumbered column
-        # indices stay sorted, and by symmetry its CSR arrays are its CSC ones
-        keep = is_interior[row_of] & is_interior[a.indices]
-        renumber = np.cumsum(is_interior, dtype=a.indices.dtype) - 1
-        indptr = np.zeros(len(i) + 1, dtype=a.indptr.dtype)
-        np.cumsum(np.bincount(row_of[keep], minlength=n)[i], out=indptr[1:])
-        self.a_ii = sp.csc_matrix(
-            (a.data[keep], renumber[a.indices[keep]], indptr), shape=(len(i), len(i))
-        )
-        del a, row_of, keep, renumber  # only the blocks reach SuperLU's peak
+        del a  # only the blocks reach SuperLU's peak
         # The gasket's supernodes are narrow, so wide panels buy nothing:
         # panel_size=1 keeps the column order, row pivots and L/U fill of
         # the default 20 and drops its panel workspace.  Measured on 2

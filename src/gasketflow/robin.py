@@ -25,6 +25,7 @@ alone and inside an ensemble agree bit for bit.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,19 +363,21 @@ def functional_from_json(obj) -> BoundaryFunctional:
     if isinstance(obj, str):
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"boundary functional must be a kind string or dict, got {obj!r}")
+        raise ValueError(
+            f"boundary functional must be a kind string or dict, got {reprlib.repr(obj)}"
+        )
     cls = _KINDS.get(str(obj["kind"]).lower())
     if cls is None:
-        raise ValueError(f"unknown boundary functional kind {obj['kind']!r}")
+        raise ValueError(f"unknown boundary functional kind {reprlib.repr(obj['kind'])}")
     params = {k: v for k, v in obj.items() if k != "kind"}
     for key, value in params.items():
         # JSON true/false would pass as 1/0, also inside breakpoint pairs
         if _holds_bool(value):
-            raise ValueError(f"{key}: a boolean is not a number, got {value!r}")
+            raise ValueError(f"{key}: a boolean is not a number, got {reprlib.repr(value)}")
     try:
         return cls(**params)
     except (TypeError, OverflowError) as exc:  # OverflowError: an int past the float range
-        raise ValueError(f"bad parameters for kind {obj['kind']!r}: {exc}") from exc
+        raise ValueError(f"bad parameters for kind {reprlib.repr(obj['kind'])}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import tempfile
@@ -693,8 +694,59 @@ def test_a_spec_of_the_wrong_length_is_refused_before_uniform_weights(tmp_path, 
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert capsys.readouterr().err.endswith(f"spec must have {n} entries, got 3\n")
+    assert capsys.readouterr().err.endswith(f"spec must have {reprlib.repr(n)} entries, got 3\n")
     assert peak < 2**20
+
+
+HUGE = 10**3999  # 4000 digits, under int()'s 4300-digit limit
+LONG_KIND = "k" * 10_000
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau", HUGE),
+        ("tau", [0.1] * 100_000),
+        ("tau", LONG_KIND),
+        ("t_end", -HUGE),
+        ("N", HUGE),
+        ("N", -HUGE),
+        ("m", [0] * 100_000),
+        ("weights", LONG_KIND),
+        ("u0", {"kind": LONG_KIND}),
+        ("spec", [{"kind": "quadratic", "beta": HUGE}, "neumann", "dirichlet"]),
+        ("spec", [{"kind": LONG_KIND}, "neumann", "dirichlet"]),
+        ("spec", [LONG_KIND, "neumann", "dirichlet"]),
+        ("spec", [[0.1] * 100_000, "neumann", "dirichlet"]),
+        ("spec", [{"kind": "quadratic", "beta": [True] * 100_000}, "neumann", "dirichlet"]),
+    ],
+    ids=[
+        "tau-4000-digits",
+        "tau-100000-entries",
+        "tau-10000-chars",
+        "t_end-minus-4000-digits",
+        "N-4000-digits",
+        "N-minus-4000-digits",
+        "m-100000-entries",
+        "weights-10000-chars",
+        "u0-kind-10000-chars",
+        "spec-beta-4000-digits",
+        "spec-kind-10000-chars",
+        "spec-string-10000-chars",
+        "spec-entry-100000-entries",
+        "spec-beta-100000-booleans",
+    ],
+)
+def test_a_huge_value_is_refused_in_one_short_error_line(tmp_path, capsys, key, value):
+    # the message names the value by an abbreviated repr, not whole
+    doc = json.loads(GOLDEN_TEXT)
+    doc[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 300, err[:300]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

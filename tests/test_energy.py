@@ -27,7 +27,7 @@ import gasketflow.gasket as gasket_mod
 from gasketflow.energy import _extension_matrix
 from gasketflow.gasket import _ancestor_corners, _cell_edges
 
-from oracles import energy_reference, min_energy_extension, vertex_labels
+from oracles import bits, energy_reference, min_energy_extension, vertex_labels
 
 
 def _form(n, m):
@@ -137,6 +137,26 @@ def test_stiffness_and_resolvent_are_exactly_symmetric(n, m, weights):
     resolvent = (2.0 * k + sp.diags(masses / 0.01)).tocsr()
     for a in (k, resolvent):
         assert (a != a.T).nnz == 0
+
+
+@pytest.mark.parametrize("n, m", [(2, 0), (3, 4), (4, 3), (5, 2), (8, 2), (20, 1)])
+def test_stiffness_matrix_is_the_edge_by_edge_laplacian_bit_for_bit(n, m):
+    # the reference, entry by entry: for each edge in order, -r off the
+    # diagonal and r added to both ends
+    form = _form(n, m)
+    g, r = form.graph, form.renormalization
+    ref = np.zeros((g.vertex_count, g.vertex_count))
+    for i, j in zip(*g.edge_arrays):
+        ref[i, j] = ref[j, i] = -r
+        ref[i, i] += r
+        ref[j, j] += r
+    k = stiffness_matrix(form)
+    assert k.format == "csr" and k.has_canonical_format and k.dtype == np.float64
+    rows = np.repeat(np.arange(g.vertex_count), np.diff(k.indptr))
+    want_rows, want_cols = np.nonzero(ref)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(k.indices, want_cols)
+    np.testing.assert_array_equal(bits(k.data), bits(ref[want_rows, want_cols]))
 
 
 def test_batch_energy_matches_scalar():
